@@ -125,10 +125,6 @@ def random_bounded_sequence(tag: int) -> DoubleSequence:
     """A reproducible noise sequence with values in [-1, 1)."""
     base = _finalize_py(tag * 0x632BE59BD9B4E019 + 0xD1B54A32D192ED03)
 
-    def rule(k, l):
-        h = _finalize_py((k * _SALT_K) ^ (l * _SALT_L) ^ base)
-        return 2.0 * (h / 2.0 ** 64) - 1.0
-
     def grid_rule(M, N):
         kk = (np.arange(M + 1, dtype=np.uint64) * np.uint64(_SALT_K))[:, None]
         ll = (np.arange(N + 1, dtype=np.uint64) * np.uint64(_SALT_L))[None, :]
@@ -139,7 +135,6 @@ def random_bounded_sequence(tag: int) -> DoubleSequence:
         return 2.0 * (z.astype(np.float64) / 2.0 ** 64) - 1.0
 
     return DoubleSequence(
-        rule=rule,
         name=f"noise-{tag}",
         description="deterministic bounded noise",
         grid_rule=grid_rule,
@@ -170,15 +165,12 @@ def random_triangular_kernel(rng: np.random.Generator, side: int):
 
 
 def geometric_sequence() -> DoubleSequence:
-    def rule(k, l):
-        return float(2.0 ** (-k) * 2.0 ** (-l))
-
     def grid_rule(M, N):
         pk = np.power(2.0, -np.arange(M + 1, dtype=float))
         pl = np.power(2.0, -np.arange(N + 1, dtype=float))
         return np.outer(pk, pl)
 
-    return DoubleSequence(rule=rule, name="geometric", grid_rule=grid_rule)
+    return DoubleSequence(name="geometric", grid_rule=grid_rule)
 
 
 # ---------------------------------------------------------------------------

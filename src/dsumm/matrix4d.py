@@ -255,13 +255,6 @@ def b_transform(x: DoubleSequence, p: BParams) -> DoubleSequence:
     su, st = p.s * p.u, p.s * p.t
     ru, rt = p.r * p.u, p.r * p.t
 
-    def rule(m, n):
-        # same term order as the grid path, so both agree bit for bit
-        acc = su * (x(m - 1, n - 1) if m > 0 and n > 0 else 0.0)
-        acc = acc + st * (x(m - 1, n) if m > 0 else 0.0)
-        acc = acc + ru * (x(m, n - 1) if n > 0 else 0.0)
-        return acc + rt * x(m, n)
-
     def grid_rule(M, N):
         g = x.grid(M, N)
         s11 = np.zeros_like(g)
@@ -274,7 +267,6 @@ def b_transform(x: DoubleSequence, p: BParams) -> DoubleSequence:
 
     label = x.name or "x"
     return DoubleSequence(
-        rule=rule,
         name=f"B[{label}]",
         description=f"banded transform of {label}",
         grid_rule=grid_rule,
@@ -336,12 +328,8 @@ def inverse_transform(y: DoubleSequence, p: BParams) -> DoubleSequence:
     def grid_rule(M, N):
         return _inverse_scan(y.grid(M, N), sigma, tau, rt)
 
-    def rule(m, n):
-        return float(grid_rule(m, n)[m, n])
-
     label = y.name or "y"
     return DoubleSequence(
-        rule=rule,
         name=f"F[{label}]",
         description=f"inverse banded transform of {label}",
         grid_rule=grid_rule,

@@ -1,10 +1,11 @@
 """Double sequences on the quarter-plane grid.
 
-A double sequence is a pure evaluation rule (k, l) -> float over non-negative
-integer indices.  Nothing here ever materialises an infinite object: every
-operation takes an explicit finite Window or Truncation.  Grids are cached
-per sequence so repeated scans over growing truncations stay cheap, and all
-evaluation paths are deterministic (same index, same bits).
+A double sequence is one evaluation rule over non-negative integer indices:
+normally a vectorised `grid_rule` that fills [0, M] x [0, N].  Nothing here
+ever materialises an infinite object: every operation takes an explicit
+finite Window or Truncation.  Grids are cached per sequence, grow-only, and
+point queries and window means read that cache, so an index has one value
+however it is reached.
 
 The module also ships a small corpus of named witness sequences that the rest
 of the package (and its test battery) leans on.
@@ -89,24 +90,28 @@ class Truncation:
 class DoubleSequence:
     """A lazily evaluated double sequence.
 
-    `rule` is the scalar evaluation rule.  `grid_rule`, when present, must
-    produce exactly the same values as `rule` on [0, M] x [0, N]; it exists
-    so that heavy scans can be vectorised.  Grids are cached grow-only.
+    `grid_rule(M, N)` returns the values on [0, M] x [0, N]; `grid` caches
+    them grow-only, and a point query `x(k, l)` reads that cache.  A sequence
+    given only a scalar `rule(k, l)` fills its grid cell by cell.  When both
+    are given, point queries use `rule` and grids use `grid_rule`.
     """
 
-    rule: Callable[[int, int], float]
+    rule: Optional[Callable[[int, int], float]] = None
     name: str = ""
     description: str = ""
     grid_rule: Optional[Callable[[int, int], np.ndarray]] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        if self.rule is None and self.grid_rule is None:
+            raise ValueError(f"sequence {self.name!r} needs a rule or a grid_rule")
+
     def __call__(self, k: int, l: int) -> float:
         if k < 0 or l < 0:
             raise ValueError("sequence indices must be non-negative")
+        if self.rule is None:
+            return float(self.grid(k, l)[k, l])
         return float(self.rule(k, l))
-
-    def at(self, idx: Index) -> float:
-        return self(idx.k, idx.l)
 
     def grid(self, M: int, N: int) -> np.ndarray:
         """Values on [0, M] x [0, N] as a float array of shape (M+1, N+1)."""
@@ -134,9 +139,6 @@ def from_array(values, name: str = "array") -> DoubleSequence:
     if arr.ndim != 2:
         raise ValueError("from_array expects a 2-D array")
 
-    def rule(k: int, l: int) -> float:
-        return float(arr[k, l])
-
     def grid_rule(M: int, N: int) -> np.ndarray:
         if M + 1 > arr.shape[0] or N + 1 > arr.shape[1]:
             raise ValueError(
@@ -144,7 +146,7 @@ def from_array(values, name: str = "array") -> DoubleSequence:
             )
         return arr[: M + 1, : N + 1]
 
-    return DoubleSequence(rule=rule, name=name, grid_rule=grid_rule)
+    return DoubleSequence(name=name, grid_rule=grid_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -182,54 +184,49 @@ def sup_abs(x: DoubleSequence, tr: Truncation) -> float:
     return float(np.max(np.abs(x.grid(tr.M, tr.N))))
 
 
+def _window_values(x: DoubleSequence, w: Window) -> list:
+    # row-major, read from the cached grid
+    return x.grid(w.m + w.q, w.n + w.qp)[w.m :, w.n :].ravel().tolist()
+
+
 def window_mean(x: DoubleSequence, w: Window) -> float:
     """Arithmetic mean of x over the window, summed in row-major order."""
+    # a plain running sum: np.sum is pairwise and sum() is compensated on
+    # Python >= 3.12, and either would change the low bits
     total = 0.0
-    for k in range(w.m, w.m + w.q + 1):
-        for l in range(w.n, w.n + w.qp + 1):
-            total += x(k, l)
+    for v in _window_values(x, w):
+        total += v
     return total / w.cardinality
 
 
 def abs_window_mean(x: DoubleSequence, w: Window, L: float = 0.0) -> float:
     """Mean of |x - L| over the window (the strong-mean building block)."""
     total = 0.0
-    for k in range(w.m, w.m + w.q + 1):
-        for l in range(w.n, w.n + w.qp + 1):
-            total += abs(x(k, l) - L)
+    for v in _window_values(x, w):
+        total += abs(v - L)
     return total / w.cardinality
 
 
-def _sup_over_windows(grid: np.ndarray) -> tuple[float, Window]:
-    """sup of |window mean| over every window inside the grid.
-
-    Enumerates extents (q, qp) in lexicographic order and keeps the first
-    attaining window, so the reported witness is deterministic.
-    """
+def _sup_over_windows(grid: np.ndarray) -> float:
+    """sup of |window mean| over every window inside the grid."""
     P = padded_prefix(grid)
     R, C = grid.shape
     best = -1.0
-    best_w = Window(0, 0, 0, 0)
     for q in range(R):
         for qp in range(C):
             means = np.abs(window_sum_table(P, q, qp)) / ((q + 1) * (qp + 1))
-            v = float(means.max())
-            if v > best:
-                m, n = np.unravel_index(int(np.argmax(means)), means.shape)
-                best, best_w = v, Window(int(m), int(n), q, qp)
-    return best, best_w
+            best = max(best, float(means.max()))
+    return best
 
 
 def norm_Cf(x: DoubleSequence, tr: Truncation) -> float:
     """sup over all windows inside tr of |window mean of x|."""
-    value, _ = _sup_over_windows(x.grid(tr.M, tr.N))
-    return value
+    return _sup_over_windows(x.grid(tr.M, tr.N))
 
 
 def norm_strong(x: DoubleSequence, tr: Truncation) -> float:
     """sup over all windows inside tr of the window mean of |x|."""
-    value, _ = _sup_over_windows(np.abs(x.grid(tr.M, tr.N)))
-    return value
+    return _sup_over_windows(np.abs(x.grid(tr.M, tr.N)))
 
 
 def lq_norm(x: DoubleSequence, tr: Truncation, q: float) -> float:
@@ -289,7 +286,6 @@ def _require_params(name: str, params):
 
 def _seq_e() -> DoubleSequence:
     return DoubleSequence(
-        rule=lambda k, l: 1.0,
         name="e",
         description="constant one",
         grid_rule=lambda M, N: np.ones((M + 1, N + 1)),
@@ -298,7 +294,6 @@ def _seq_e() -> DoubleSequence:
 
 def _seq_zero() -> DoubleSequence:
     return DoubleSequence(
-        rule=lambda k, l: 0.0,
         name="zero",
         description="constant zero",
         grid_rule=lambda M, N: np.zeros((M + 1, N + 1)),
@@ -312,7 +307,6 @@ def _seq_impulse() -> DoubleSequence:
         return g
 
     return DoubleSequence(
-        rule=lambda k, l: 1.0 if k == 0 and l == 0 else 0.0,
         name="impulse",
         description="unit impulse at the origin",
         grid_rule=grid_rule,
@@ -327,7 +321,6 @@ def _seq_boos() -> DoubleSequence:
         return g
 
     return DoubleSequence(
-        rule=lambda k, l: float(l) if k == 0 else 0.0,
         name="boos",
         description="row zero counts its column index, all other rows vanish",
         grid_rule=grid_rule,
@@ -340,7 +333,6 @@ def _seq_alt_col() -> DoubleSequence:
         return np.tile(row, (M + 1, 1))
 
     return DoubleSequence(
-        rule=lambda k, l: 1.0 if l % 2 == 0 else -1.0,
         name="alt-col",
         description="alternating sign down the columns, constant along rows",
         grid_rule=grid_rule,
@@ -354,7 +346,6 @@ def _seq_checkerboard() -> DoubleSequence:
         return np.where((k + l) % 2 == 0, 1.0, 0.0)
 
     return DoubleSequence(
-        rule=lambda k, l: 1.0 if (k + l) % 2 == 0 else 0.0,
         name="checkerboard",
         description="one on even parity cells, zero on odd",
         grid_rule=grid_rule,
@@ -369,7 +360,6 @@ def _seq_k_over_rt(params) -> DoubleSequence:
         return np.tile(col[:, None], (1, N + 1))
 
     return DoubleSequence(
-        rule=lambda k, l: k / rt,
         name="k-over-rt",
         description="row index scaled by 1/(r*t)",
         grid_rule=grid_rule,
@@ -385,7 +375,6 @@ def _seq_alt_k_over_rt(params) -> DoubleSequence:
         return k * sign / rt
 
     return DoubleSequence(
-        rule=lambda k, l: k * (1.0 if l % 2 == 0 else -1.0) / rt,
         name="alt-k-over-rt",
         description="row index with alternating column sign, scaled by 1/(r*t)",
         grid_rule=grid_rule,
@@ -394,8 +383,7 @@ def _seq_alt_k_over_rt(params) -> DoubleSequence:
 
 def _seq_alt_col_preimage(params) -> DoubleSequence:
     # The sequence whose banded forward transform is the alternating-column
-    # sequence: geometric back-substitution of (-1)^l, kept as one code path
-    # so scalar and grid evaluation agree bit for bit.
+    # sequence: geometric back-substitution of (-1)^l.
     sigma, tau = params.sigma, params.tau
     rt = params.r * params.t
 
@@ -412,7 +400,6 @@ def _seq_alt_col_preimage(params) -> DoubleSequence:
         return out / rt
 
     return DoubleSequence(
-        rule=lambda k, l: float(grid_rule(k, l)[k, l]),
         name="alt-col-preimage",
         description="preimage of the alternating-column sequence under the banded transform",
         grid_rule=grid_rule,

@@ -72,6 +72,32 @@ def test_grid_cache_grows_consistently():
     assert x.grid(3, 8).shape == (4, 9)
 
 
+def test_point_queries_read_the_cached_grid():
+    calls = []
+
+    def grid_rule(M, N):
+        calls.append((M, N))
+        k = np.arange(M + 1, dtype=float)[:, None]
+        l = np.arange(N + 1, dtype=float)[None, :]
+        return np.sin(k + 0.1) / (l + 3.0)
+
+    x = DoubleSequence(name="counted", grid_rule=grid_rule)
+    g = x.grid(8, 8).copy()
+    assert calls == [(8, 8)]
+    for k in range(9):
+        for l in range(9):
+            assert x(k, l) == g[k, l], (k, l)
+    assert calls == [(8, 8)]
+    x(10, 3)
+    assert calls == [(8, 8), (10, 8)]
+    assert np.array_equal(x.grid(8, 8), g)
+
+
+def test_sequence_needs_a_rule():
+    with pytest.raises(ValueError):
+        DoubleSequence(name="x")
+
+
 def test_from_array_bounds():
     x = from_array([[1.0, 2.0], [3.0, 4.0]])
     assert x(1, 0) == 3.0
