@@ -18,6 +18,14 @@ Three of the seven conditions compare the unscaled fold (no 1/(r t) factor)
 against entrywise limit constants; the remaining four act on the scaled
 kernel.  The beta report is the conjunction of all seven; the gamma report
 combines bounded fold rows with partial-sum boundedness probes.
+
+Memory contract: every condition is a reduction over the columns (k, l) of
+one row (m, n), so a suite holds the kernel's one cached dense block (plus
+the derived block for the B-domain classes, and one row-prefix table for
+the window-mean suites) and reduces it one row slab [m] at a time into
+side x side tables; no side^4 temporary is made.  Each slab reduction adds
+in the same order as the whole-block expression it replaces, so results are
+bit-for-bit those of the whole-block formulas.
 """
 
 from __future__ import annotations
@@ -56,10 +64,6 @@ __all__ = [
     "first_row_set",
     "ConditionReport",
     "ClassReport",
-    "delta10",
-    "delta01",
-    "delta11",
-    "matrix_window_mean",
     "zero_density_check",
     "check_cbp_conservative",
     "check_cbp_regular",
@@ -130,15 +134,6 @@ class IndexSet:
                 out[k, l] = bool(self.contains(k, l))
         return out
 
-    def count_in_rectangle(self, m: int, n: int, p: int, q: int) -> int:
-        """Exact count of E inside {m <= j <= m+p-1, n <= k <= n+q-1}."""
-        total = 0
-        for j in range(m, m + p):
-            for k in range(n, n + q):
-                if self.contains(j, k):
-                    total += 1
-        return total
-
 
 def diagonal_set() -> IndexSet:
     return IndexSet(
@@ -191,39 +186,6 @@ class ClassReport:
         else:
             overall = UNDECIDED
         return ClassReport(class_id=class_id, conditions=conds, overall=overall)
-
-
-# ---------------------------------------------------------------------------
-# entry differences and window means
-
-def delta10(A: FourDimMatrix, m: int, n: int, k: int, l: int) -> float:
-    """Forward difference of row (m, n) in the first column index."""
-    return A(m, n, k, l) - A(m, n, k + 1, l)
-
-
-def delta01(A: FourDimMatrix, m: int, n: int, k: int, l: int) -> float:
-    return A(m, n, k, l) - A(m, n, k, l + 1)
-
-
-def delta11(A: FourDimMatrix, m: int, n: int, k: int, l: int) -> float:
-    """Mixed second difference; equals delta10 applied after delta01."""
-    return (
-        A(m, n, k, l)
-        - A(m, n, k + 1, l)
-        - A(m, n, k, l + 1)
-        + A(m, n, k + 1, l + 1)
-    )
-
-
-def matrix_window_mean(A: FourDimMatrix, i: int, j: int, q: int, qp: int, m: int, n: int) -> float:
-    """Mean of column (i, j) over the window of rows [m, m+q] x [n, n+qp]."""
-    if min(i, j, q, qp, m, n) < 0:
-        raise ValueError("window-mean arguments must be non-negative")
-    acc = 0.0
-    for k in range(m, m + q + 1):
-        for l in range(n, n + qp + 1):
-            acc += A(k, l, i, j)
-    return acc / ((q + 1) * (qp + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +242,14 @@ def _sup_condition(condition_id, trend, tol, constants=None):
     return ConditionReport(condition_id, tuple(trend), _verdict(decision), constants or {})
 
 
+def _abs_row_sums(B4: np.ndarray) -> np.ndarray:
+    """Sum of |entries| over the columns of each row (m, n), one row slab at a time."""
+    out = np.empty(B4.shape[:2])
+    for m in range(B4.shape[0]):
+        out[m] = np.abs(B4[m]).sum(axis=(1, 2))
+    return out
+
+
 def _cbp_conditions(A: FourDimMatrix, stages, tol, regular: bool):
     S = max(stages)
     B4 = A.block4(S, S, S, S)
@@ -290,7 +260,7 @@ def _cbp_conditions(A: FourDimMatrix, stages, tol, regular: bool):
     else:
         a_hat = B4[tl_big:, tl_big:, :, :].mean(axis=(0, 1))
         v_hat = float(B4[tl_big:, tl_big:, :, :].sum(axis=(2, 3)).mean())
-    rows_abs = np.abs(B4).sum(axis=(2, 3))
+    rows_abs = _abs_row_sums(B4)
     row_sums = B4.sum(axis=(2, 3))
 
     sup_trend, entry_trend, total_trend, col_trend, row_trend = [], [], [], [], []
@@ -367,37 +337,57 @@ def _shift_neg(arr: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _sparse_delta_conditions(B4, E_sets, stages, tol, kinds):
-    """Tail-row sums of |delta entries| over each sparse set.
+def _abs_delta(slab: np.ndarray, kind: str) -> np.ndarray:
+    """|difference| of a row slab [n, k, l] in the column indices.
 
-    kinds is a subset of {"k", "l", "kl"}; differences act on the column
-    indices with zero fill past the block edge.
+    kind is "k", "l" or the mixed "kl"; zero fill past the block edge.
+    """
+    if kind == "k":
+        return np.abs(slab - _shift_neg(slab, 1))
+    if kind == "l":
+        return np.abs(slab - _shift_neg(slab, 2))
+    shifted_k = _shift_neg(slab, 1)
+    return np.abs(slab - shifted_k - _shift_neg(slab, 2) + _shift_neg(shifted_k, 2))
+
+
+def _sparse_delta_trends(B4, masks, stages, kinds) -> dict:
+    """Largest tail-row sum of |delta entries| over each mask's cells, per stage.
+
+    Returns {(mask index, kind): trend}.  Each stage sums the columns
+    (k, l) <= (side, side) of rows (m, n) in its tail square, one row slab
+    m at a time; a column past the stage reads its real neighbour.
     """
     S = B4.shape[0] - 1
-    shifted_k = _shift_neg(B4, 2)
-    shifted_l = _shift_neg(B4, 3)
-    diffs = {}
-    if "k" in kinds:
-        diffs["k"] = np.abs(B4 - shifted_k)
-    if "l" in kinds:
-        diffs["l"] = np.abs(B4 - shifted_l)
-    if "kl" in kinds:
-        diffs["kl"] = np.abs(B4 - shifted_k - shifted_l + _shift_neg(shifted_k, 3))
-    out = []
-    for E in E_sets:
-        mask = E.mask(S, S)
+    lo = min(_tail_lo(side) for side in stages)
+    tables = {(i, kind, side): np.empty((S + 1, S + 1))
+              for i in range(len(masks)) for kind in kinds for side in stages}
+    for m in range(lo, S + 1):
+        diffs = {kind: _abs_delta(B4[m, lo:], kind) for kind in kinds}
+        for (i, kind, side), table in tables.items():
+            tl = _tail_lo(side)
+            if tl <= m <= side:
+                block = diffs[kind][tl - lo: side + 1 - lo, : side + 1, : side + 1]
+                msk = masks[i][: side + 1, : side + 1]
+                table[m, tl: side + 1] = (block * msk[None, :, :]).sum(axis=(1, 2))
+    trends = {}
+    for i in range(len(masks)):
         for kind in kinds:
-            trend = []
+            trend = trends[i, kind] = []
             for side in stages:
                 tl = _tail_lo(side)
-                block = diffs[kind][tl: side + 1, tl: side + 1, : side + 1, : side + 1]
-                msk = mask[: side + 1, : side + 1]
-                sums = (block * msk[None, None, :, :]).sum(axis=(2, 3))
-                trend.append((side, float(sums.max())))
-            out.append(
-                _residual_condition(f"sparse-delta-{kind}({E.name})", trend, tol)
-            )
-    return out
+                trend.append((side, float(tables[i, kind, side][tl: side + 1, tl: side + 1].max())))
+    return trends
+
+
+def _sparse_delta_conditions(B4, E_sets, stages, tol, kinds):
+    """Tail-row sums of |delta entries| over each sparse set, per kind in kinds."""
+    S = B4.shape[0] - 1
+    trends = _sparse_delta_trends(B4, [E.mask(S, S) for E in E_sets], stages, kinds)
+    return [
+        _residual_condition(f"sparse-delta-{kind}({E.name})", trends[i, kind], tol)
+        for i, E in enumerate(E_sets)
+        for kind in kinds
+    ]
 
 
 def check_strong_to_bp(
@@ -419,68 +409,121 @@ def check_strong_to_bp(
 # ---------------------------------------------------------------------------
 # window-mean suites
 
-def _window_mean_tables(B4: np.ndarray, side: int):
-    """Yield (q, qp, means) for the stage's canonical extents.
+def _row_prefix_table(B4: np.ndarray) -> np.ndarray:
+    """P[m+1, n+1, i, j] = sum of column (i, j) over rows (m', n') <= (m, n).
 
-    B4 is indexed [row_k, row_l, col_i, col_j]; means[m, n, i, j] is the
-    average of column (i, j) over rows [m, m+q] x [n, n+qp].
+    Row 0 and column 0 of P are zero.  A running sum up to row m reads no
+    later row, so a stage's table is the corner
+    P[: side + 2, : side + 2, : side + 1, : side + 1] of the largest one.
+    The accumulator starts as a copy of row 0 (not zero plus row 0), so a
+    -0.0 entry keeps its sign, as in a cumsum over the whole block.
     """
-    sub = B4[: side + 1, : side + 1, : side + 1, : side + 1]
-    P = np.zeros((side + 2, side + 2, side + 1, side + 1))
-    P[1:, 1:] = sub.cumsum(axis=0).cumsum(axis=1)
-    for q, qp in stage_extent_pairs(side):
-        sums = (
-            P[q + 1:, qp + 1:]
-            - P[: -q - 1, qp + 1:]
-            - P[q + 1:, : -qp - 1]
-            + P[: -q - 1, : -qp - 1]
-        )
-        yield q, qp, sums / float((q + 1) * (qp + 1))
+    K, L = B4.shape[:2]
+    P = np.empty((K + 1, L + 1) + B4.shape[2:])
+    P[0] = 0.0
+    P[:, 0] = 0.0
+    acc = B4[0].copy()
+    for m in range(K):
+        if m:
+            acc += B4[m]
+        np.cumsum(acc, axis=0, out=P[m + 1, 1:])
+    return P
+
+
+def _window_means(P: np.ndarray, m: int, q: int, qp: int) -> np.ndarray:
+    """means[n, i, j]: average of column (i, j) over rows [m, m+q] x [n, n+qp].
+
+    P is one stage's row-prefix table; n runs over every base that fits.
+    """
+    sums = P[m + q + 1, qp + 1:] - P[m, qp + 1:] - P[m + q + 1, : -qp - 1] + P[m, : -qp - 1]
+    return sums / float((q + 1) * (qp + 1))
+
+
+def _window_limit_estimates(P: np.ndarray, side: int):
+    """Column limits and total estimated from the stage's widest square windows."""
+    q, _ = canonical_extents(side)
+    bases = side + 1 - q
+    totals = np.empty((bases, bases))
+    acc = None
+    for m in range(bases):
+        means = _window_means(P, m, q, q)
+        totals[m] = means.sum(axis=(1, 2))
+        # bases are added one at a time in (m, n) order, as a mean over the
+        # whole table adds them; a per-m partial sum would round differently
+        acc = means.sum(axis=0) if acc is None else np.concatenate((acc[None], means)).sum(axis=0)
+    return acc / float(bases * bases), float(totals.mean())
+
+
+def _window_row_stats(P: np.ndarray, q: int, qp: int, a_hat: np.ndarray, with_deltas: bool) -> dict:
+    """Per-base reductions of one stage's window means, one base row m at a time.
+
+    Tables are indexed [m, n, ...]: "entry" holds |mean - a_hat| at the probe
+    columns, "total" the sum over all columns, "col"/"row" the probe strip
+    sums, and "dk"/"dl" the totals of |forward difference| (with_deltas).
+    """
+    side = P.shape[2] - 1
+    bm, bn = side + 1 - q, side + 1 - qp
+    probes = len(_PROBE_RANGE)
+    stats = {
+        "entry": np.empty((bm, bn, probes, probes)),
+        "total": np.empty((bm, bn)),
+        "col": np.empty((bm, bn, probes)),
+        "row": np.empty((bm, bn, probes)),
+    }
+    if with_deltas:
+        stats["dk"] = np.empty((bm, bn))
+        stats["dl"] = np.empty((bm, bn))
+    for m in range(bm):
+        means = _window_means(P, m, q, qp)
+        for i in _PROBE_RANGE:
+            for j in _PROBE_RANGE:
+                stats["entry"][m, :, i, j] = np.abs(means[:, i, j] - a_hat[i, j])
+        stats["total"][m] = means.sum(axis=(1, 2))
+        for j0 in _PROBE_RANGE:
+            strip = np.abs(means[:, :, j0] - a_hat[None, : side + 1, j0])
+            stats["col"][m, :, j0] = strip.sum(axis=1)
+        for i0 in _PROBE_RANGE:
+            strip = np.abs(means[:, i0, :] - a_hat[None, i0, : side + 1])
+            stats["row"][m, :, i0] = strip.sum(axis=1)
+        if with_deltas:
+            stats["dk"][m] = _abs_delta(means, "k").sum(axis=(1, 2))
+            stats["dl"][m] = _abs_delta(means, "l").sum(axis=(1, 2))
+    return stats
 
 
 def _almost_conditions(A: FourDimMatrix, stages, tol, regular: bool, with_deltas: bool):
     S = max(stages)
     B4 = A.block4(S, S, S, S)
-    rows_abs = np.abs(B4).sum(axis=(2, 3))
+    rows_abs = _abs_row_sums(B4)
+    P = _row_prefix_table(B4)
 
     if regular:
         a_hat = np.zeros((S + 1, S + 1))
         u_hat = 1.0
     else:
-        q_hi, _ = canonical_extents(S)
-        for q, qp, means in _window_mean_tables(B4, S):
-            if (q, qp) == (q_hi, q_hi):
-                a_hat = means.mean(axis=(0, 1))
-                u_hat = float(means.sum(axis=(2, 3)).mean())
-                break
+        a_hat, u_hat = _window_limit_estimates(P, S)
 
     sup_trend, entry_trend, total_trend = [], [], []
     col_trend, row_trend = [], []
     dk_trend, dl_trend = [], []
     for side in stages:
         sup_trend.append((side, float(rows_abs[: side + 1, : side + 1].max())))
+        P_side = P[: side + 2, : side + 2, : side + 1, : side + 1]
         entry_res = total_res = col_res = row_res = 0.0
         dk_res = dl_res = 0.0
-        for q, qp, means in _window_mean_tables(B4, side):
+        for q, qp in stage_extent_pairs(side):
+            stats = _window_row_stats(P_side, q, qp, a_hat, with_deltas)
             for i in _PROBE_RANGE:
                 for j in _PROBE_RANGE:
-                    entry_res = max(
-                        entry_res,
-                        float(np.max(np.abs(means[:, :, i, j] - a_hat[i, j]))),
-                    )
-            totals = means.sum(axis=(2, 3))
-            total_res = max(total_res, float(np.max(np.abs(totals - u_hat))))
+                    entry_res = max(entry_res, float(np.max(stats["entry"][:, :, i, j])))
+            total_res = max(total_res, float(np.max(np.abs(stats["total"] - u_hat))))
             for j0 in _PROBE_RANGE:
-                strip = np.abs(means[:, :, :, j0] - a_hat[None, None, : side + 1, j0])
-                col_res = max(col_res, float(strip.sum(axis=2).max()))
+                col_res = max(col_res, float(stats["col"][:, :, j0].max()))
             for i0 in _PROBE_RANGE:
-                strip = np.abs(means[:, :, i0, :] - a_hat[None, None, i0, : side + 1])
-                row_res = max(row_res, float(strip.sum(axis=2).max()))
+                row_res = max(row_res, float(stats["row"][:, :, i0].max()))
             if with_deltas:
-                dk = np.abs(means - _shift_neg(means, 2)).sum(axis=(2, 3))
-                dl = np.abs(means - _shift_neg(means, 3)).sum(axis=(2, 3))
-                dk_res = max(dk_res, float(dk.max()))
-                dl_res = max(dl_res, float(dl.max()))
+                dk_res = max(dk_res, float(stats["dk"].max()))
+                dl_res = max(dl_res, float(stats["dl"].max()))
         entry_trend.append((side, entry_res))
         total_trend.append((side, total_res))
         col_trend.append((side, col_res))
@@ -577,8 +620,7 @@ def check_Cf_to_Mu(
     their truncated products must stabilize as the column range grows.
     """
     S = max(stages)
-    B4 = A.block4(S, S, S, S)
-    rows_abs = np.abs(B4).sum(axis=(2, 3))
+    rows_abs = _abs_row_sums(A.block4(S, S, S, S))
     sup_trend = [
         (side, float(rows_abs[: side + 1, : side + 1].max())) for side in stages
     ]
@@ -733,8 +775,7 @@ class _DualScans:
 def _dual_condition(scans: _DualScans, which: str, tol: ToleranceConfig, E: IndexSet) -> ConditionReport:
     stages = scans.stages
     if which == "d1":
-        D4 = scans.d_block()
-        rows = np.abs(D4).sum(axis=(2, 3))
+        rows = _abs_row_sums(scans.d_block())
         trend = [(s, float(rows[: s + 1, : s + 1].max())) for s in stages]
         return _sup_condition("transform-row-abs-sup", trend, tol, {"sup": trend[-1][1]})
 
@@ -791,18 +832,9 @@ def _dual_condition(scans: _DualScans, which: str, tol: ToleranceConfig, E: Inde
         return _residual_condition("transform-row-strips", trend, tol)
 
     if which in ("d6", "d7"):
-        D4 = scans.d_block()
-        axis = 3 if which == "d6" else 2
-        diff = np.abs(D4 - _shift_neg(D4, axis))
-        mask = E.mask(scans.S, scans.S)
-        trend = []
-        for s in stages:
-            t = _tail_lo(s)
-            block = diff[t: s + 1, t: s + 1, : s + 1, : s + 1]
-            msk = mask[: s + 1, : s + 1]
-            sums = (block * msk[None, None, :, :]).sum(axis=(2, 3))
-            trend.append((s, float(sums.max())))
         kind = "l" if which == "d6" else "k"
+        mask = E.mask(scans.S, scans.S)
+        trend = _sparse_delta_trends(scans.d_block(), [mask], stages, (kind,))[0, kind]
         return _residual_condition(f"transform-sparse-delta-{kind}({E.name})", trend, tol)
 
     if which == "alpha":

@@ -158,7 +158,14 @@ def _kernel_from(cfg: Config, name=None) -> FourDimMatrix:
     if name == "d":
         return d_kernel(_sequence_from(cfg), _params_from(cfg))
     if name in ("e", "g"):
-        base = _kernel_from(cfg, cfg.require("kernel", "base"))
+        base_name = cfg.require("kernel", "base")
+        if base_name in ("e", "g"):
+            # kernel.base is one key, so a derived base would read itself forever
+            raise ConfigError(
+                f"kernel.base = {base_name} names a derived kernel; the base of e and g "
+                "must be one of b, f, delta, cesaro, identity, zero, d"
+            )
+        base = _kernel_from(cfg, base_name)
         builder = e_kernel if name == "e" else g_kernel
         return builder(base, _params_from(cfg))
     raise ConfigError(

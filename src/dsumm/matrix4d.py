@@ -105,7 +105,10 @@ class FourDimMatrix:
         triangular kernels.
 
     Dense blocks are cached grow-only, keyed by nothing: one block per
-    matrix, extended as larger truncations are requested.
+    matrix, extended as larger truncations are requested.  The cached block
+    is the only side^4 array a kernel holds: the derived kernels d, e and g
+    build theirs one row slab [m] at a time into one preallocated output,
+    and the class suites reduce it one row slab at a time.
     """
 
     entry: Callable[[int, int, int, int], float]
@@ -482,8 +485,14 @@ def d_kernel(a: DoubleSequence, p: BParams) -> FourDimMatrix:
         R = a.grid(K, L)
         P = _power_lower_triangle(sigma, K + 1, I + 1)
         Q = _power_lower_triangle(tau, L + 1, J + 1)
-        W = R[:, :, None, None] * P[:, None, :, None] * Q[None, :, None, :]
-        return W.cumsum(axis=0).cumsum(axis=1) / rt
+        # running sum over the row index m, then a cumsum over n inside the slab
+        out = np.empty((K + 1, L + 1, I + 1, J + 1))
+        acc = None
+        for m in range(K + 1):
+            W = R[m, :, None, None] * P[m, None, :, None] * Q[:, None, :]
+            acc = W if acc is None else acc + W
+            out[m] = acc.cumsum(axis=0) / rt
+        return out
 
     return FourDimMatrix(
         entry=entry,
@@ -499,7 +508,15 @@ def e_kernel(A: FourDimMatrix, p: BParams) -> FourDimMatrix:
 
     Row (m, n), column (k, l), for k <= m and l <= n:
     sum over i in [k, m], j in [l, n] of sigma^(i-k) tau^(j-l) A(m, n, i, j) / (r t).
+
+    The fold stops at column (m, n), which is exact only for triangular A;
+    for any other A it would be an infinite series, so A must be triangular.
     """
+    if not A.triangular:
+        raise ValueError(
+            f"e_kernel needs a triangular kernel: {A.name or 'A'} is not triangular, "
+            "so its folded rows would be infinite series, not finite sums up to (m, n)"
+        )
     sigma, tau, rt = p.sigma, p.tau, p.rt
 
     def row_block_rule(m, n, K, L):
@@ -520,10 +537,13 @@ def e_kernel(A: FourDimMatrix, p: BParams) -> FourDimMatrix:
         A4 = A.block4(K, L, K, L)
         P = _power_lower_triangle(sigma, K + 1, I + 1)
         Q = _power_lower_triangle(tau, L + 1, J + 1)
-        # contract the row's column indices against the geometric triangles
-        T = np.tensordot(A4, Q, axes=([3], [0]))
-        E4 = np.tensordot(T.transpose(0, 1, 3, 2), P, axes=([3], [0]))
-        return E4.transpose(0, 1, 3, 2) / rt
+        # contract each row slab's column indices against the geometric triangles
+        out = np.empty((K + 1, L + 1, I + 1, J + 1))
+        for m in range(K + 1):
+            T = np.tensordot(A4[m], Q, axes=([2], [0]))
+            E3 = np.tensordot(T.transpose(0, 2, 1), P, axes=([2], [0]))
+            out[m] = E3.transpose(0, 2, 1) / rt
+        return out
 
     return FourDimMatrix(
         entry=entry,
@@ -547,13 +567,16 @@ def g_kernel(A: FourDimMatrix, p: BParams) -> FourDimMatrix:
 
     def block4_rule(K, L, I, J):
         A4 = A.block4(K, L, I, J)
-        s11 = np.zeros_like(A4)
-        s11[1:, 1:] = A4[:-1, :-1]
-        s10 = np.zeros_like(A4)
-        s10[1:, :] = A4[:-1, :]
-        s01 = np.zeros_like(A4)
-        s01[:, 1:] = A4[:, :-1]
-        return su * s11 + st * s10 + ru * s01 + rt * A4
+        out = np.empty_like(A4)
+        zero = np.zeros_like(A4[0])
+        for m in range(K + 1):
+            s10 = A4[m - 1] if m else zero
+            s11 = np.zeros_like(zero)
+            s11[1:] = s10[:-1]
+            s01 = np.zeros_like(zero)
+            s01[1:] = A4[m, :-1]
+            out[m] = su * s11 + st * s10 + ru * s01 + rt * A4[m]
+        return out
 
     return FourDimMatrix(
         entry=entry,

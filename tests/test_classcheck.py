@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from dsumm.matrix4d import (
     BParams,
     FourDimMatrix,
     apply,
+    b_kernel,
     cesaro_kernel,
     d_kernel,
     e_kernel,
+    f_kernel,
     g_kernel,
     identity_kernel,
+    matrix_from_array,
 )
 from dsumm.seqcore import Truncation
 from dsumm.convergence import ToleranceConfig, almost_limit
@@ -31,17 +36,17 @@ from dsumm.classcheck import (
     check_strong_almost_to_almost,
     check_strong_to_bp,
     check_strongly_regular,
-    delta01,
-    delta10,
-    delta11,
     diagonal_set,
     dual_membership,
     first_row_set,
     full_plane_set,
     gamma_dual_report,
-    matrix_window_mean,
     zero_density_check,
 )
+from dsumm.classcheck import _row_prefix_table
+
+import oracles
+from oracles import count_in_rectangle, delta01, delta10, delta11, matrix_window_mean
 
 P0 = BParams(1, -1, 1, -1)
 P1 = BParams(2, 1, 3, 1)
@@ -64,10 +69,10 @@ def values(cond):
 def test_index_set_masks_and_counts():
     d = diagonal_set()
     assert d.mask(3, 5).sum() == 4
-    assert d.count_in_rectangle(2, 3, 4, 4) == 3
+    assert count_in_rectangle(d, 2, 3, 4, 4) == 3
     f = first_row_set()
     assert f.mask(3, 5).sum() == 6
-    assert f.count_in_rectangle(1, 0, 3, 7) == 0
+    assert count_in_rectangle(f, 1, 0, 3, 7) == 0
     assert full_plane_set().mask(2, 2).all()
     bad = IndexSet(
         contains=lambda k, l: True,
@@ -380,3 +385,150 @@ def test_gamma_reports():
     assert verdicts == [FAIL, FAIL]
     ids = [c.condition_id for c in rep2.conditions]
     assert ids == ["transform-row-abs-sup", "product-partial-sums-bounded"]
+
+
+# ---------------------------------------------------------------------------
+# streamed reductions against the whole-block formulas
+
+STREAM_STAGES = (8, 16, 32)
+S_MAX = max(STREAM_STAGES)
+
+
+def _plain_kernels():
+    return {
+        "cesaro": cesaro_kernel,
+        "identity": identity_kernel,
+        "b": lambda: b_kernel(P1),
+        "f": lambda: f_kernel(P1),
+    }
+
+
+def _stream_kernels():
+    kernels = dict(_plain_kernels())
+    for name, make in _plain_kernels().items():
+        kernels[f"e[{name}]"] = lambda make=make: e_kernel(make(), P1)
+        kernels[f"g[{name}]"] = lambda make=make: g_kernel(make(), P1)
+    kernels["d[checkerboard]"] = lambda: d_kernel(corpus("checkerboard"), P1)
+    kernels["non-triangular"] = lambda: matrix_from_array(
+        np.random.default_rng(17).uniform(-1.0, 1.0, size=(S_MAX + 1,) * 4), name="non-triangular"
+    )
+    kernels["signed-zeros"] = lambda: matrix_from_array(
+        -cesaro_kernel().block4(S_MAX, S_MAX, S_MAX, S_MAX), triangular=True, name="signed-zeros"
+    )
+    return kernels
+
+
+def _exact(conditions):
+    """(id, trend, constants) with every float as hex, so that -0.0 != 0.0."""
+    return [
+        (cid, [(side, float(v).hex()) for side, v in trend], {k: float(v).hex() for k, v in consts.items()})
+        for cid, trend, consts in conditions
+    ]
+
+
+def _reported(report):
+    return [(c.condition_id, c.trend, c.constants) for c in report.conditions]
+
+
+SPARSE_SETS = (diagonal_set(), first_row_set())
+
+
+def _suite_pairs(B4, st):
+    """(streamed suite, whole-block oracle conditions) for every dense suite."""
+    return [
+        (lambda A: check_cbp_conservative(A, st), oracles.cbp_conditions(B4, st, regular=False)),
+        (lambda A: check_cbp_regular(A, st), oracles.cbp_conditions(B4, st, regular=True)),
+        (
+            lambda A: check_strong_to_bp(A, SPARSE_SETS, st),
+            oracles.cbp_conditions(B4, st, regular=True)
+            + oracles.sparse_delta_conditions(B4, SPARSE_SETS, st, ("k", "l")),
+        ),
+        (lambda A: check_almost_conservative(A, st), oracles.almost_conditions(B4, st, False, False)),
+        (lambda A: check_almost_regular(A, st), oracles.almost_conditions(B4, st, True, False)),
+        (lambda A: check_strongly_regular(A, st), oracles.almost_conditions(B4, st, True, True)),
+        (
+            lambda A: check_strong_almost_to_almost(A, SPARSE_SETS, st),
+            oracles.almost_conditions(B4, st, True, False)
+            + oracles.sparse_delta_conditions(B4, SPARSE_SETS, st, ("kl",)),
+        ),
+        # the row-pairing probe reads single rows and is not a block reduction
+        (lambda A: check_Cf_to_Mu(A, st), [oracles.row_abs_sup(B4, st)]),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_stream_kernels()))
+def test_streamed_suites_match_whole_block_formulas(name):
+    A = _stream_kernels()[name]()
+    B4 = A.block4(S_MAX, S_MAX, S_MAX, S_MAX)
+    for suite, want in _suite_pairs(B4, STREAM_STAGES):
+        got = [c for c in _reported(suite(A)) if c[0] != "rows-beta-probe"]
+        assert _exact(got) == _exact(want)
+
+
+@pytest.mark.parametrize("name", ["signed-zeros", "non-triangular", "d[checkerboard]"])
+def test_row_prefix_table_matches_whole_block_cumsum(name):
+    B4 = _stream_kernels()[name]().block4(S_MAX, S_MAX, S_MAX, S_MAX)
+    want = np.zeros((S_MAX + 2, S_MAX + 2, S_MAX + 1, S_MAX + 1))
+    want[1:, 1:] = B4.cumsum(axis=0).cumsum(axis=1)
+    assert _row_prefix_table(B4).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["checkerboard", "impulse", "boos", "alt-col"])
+def test_streamed_duals_match_whole_block_formulas(name):
+    a = corpus(name)
+    D4 = oracles.d_block(a, P1, S_MAX, S_MAX, S_MAX, S_MAX)
+    st = STREAM_STAGES
+    _, trend, consts = oracles.row_abs_sup(D4, st)
+    want = [("transform-row-abs-sup", trend, consts)]
+    want += oracles.sparse_delta_conditions(D4, (diagonal_set(),), st, ("l", "k"), "transform-sparse-delta")
+    got = [dual_membership(a, which, P1, st) for which in ("d1", "d6", "d7")]
+    assert _exact([(c.condition_id, c.trend, c.constants) for c in got]) == _exact(want)
+
+
+# ---------------------------------------------------------------------------
+# memory: each suite holds its blocks and reduces one row slab at a time
+
+BLOCK_BYTES = (S_MAX + 1) ** 4 * 8
+
+
+def _traced_peak_blocks(run):
+    """Peak traced allocation of run() in units of one dense S_MAX block."""
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / BLOCK_BYTES
+
+
+# Ceilings: the kernel's block (1) plus the derived block of a B-domain class
+# (1) plus one row-prefix table for window-mean suites (35^2 33^2 / 33^4 =
+# 1.125), with room for the side^3 slab temporaries.  The beta duals add the
+# six fold cubes of side 2 S_MAX + 1.
+MEMORY_CEILINGS = [
+    ("cbp-regular", lambda: check_cbp_regular(cesaro_kernel(), STREAM_STAGES), 1.25),
+    ("cbp-conservative", lambda: check_cbp_conservative(cesaro_kernel(), STREAM_STAGES), 1.25),
+    ("strong-to-bp", lambda: check_strong_to_bp(cesaro_kernel(), stages=STREAM_STAGES), 1.25),
+    ("Cf-to-Mu", lambda: check_Cf_to_Mu(cesaro_kernel(), STREAM_STAGES), 1.25),
+    ("almost-conservative", lambda: check_almost_conservative(cesaro_kernel(), STREAM_STAGES), 2.3),
+    ("almost-regular", lambda: check_almost_regular(cesaro_kernel(), STREAM_STAGES), 2.3),
+    ("strongly-regular", lambda: check_strongly_regular(cesaro_kernel(), STREAM_STAGES), 2.3),
+    (
+        "strong-almost-to-almost",
+        lambda: check_strong_almost_to_almost(cesaro_kernel(), stages=STREAM_STAGES),
+        2.3,
+    ),
+    ("BSCf_to_Cf", lambda: check_B_domain_class(cesaro_kernel(), "BSCf_to_Cf", P1, STREAM_STAGES), 3.3),
+    ("BSCf_to_Mu", lambda: check_B_domain_class(cesaro_kernel(), "BSCf_to_Mu", P1, STREAM_STAGES), 2.3),
+    ("BSCf_to_Cbp", lambda: check_B_domain_class(cesaro_kernel(), "BSCf_to_Cbp", P1, STREAM_STAGES), 2.3),
+    ("SCf_to_BMu", lambda: check_B_domain_class(cesaro_kernel(), "SCf_to_BMu", P1, STREAM_STAGES), 2.3),
+    ("SCf_to_BCbp", lambda: check_B_domain_class(cesaro_kernel(), "SCf_to_BCbp", P1, STREAM_STAGES), 2.3),
+    ("beta", lambda: beta_dual_report(corpus("checkerboard"), P1, STREAM_STAGES), 2.6),
+    ("gamma", lambda: gamma_dual_report(corpus("checkerboard"), P1, STREAM_STAGES), 1.25),
+]
+
+
+@pytest.mark.parametrize("name, run, ceiling", MEMORY_CEILINGS, ids=[c[0] for c in MEMORY_CEILINGS])
+def test_suite_memory_stays_under_its_block_ceiling(name, run, ceiling):
+    assert _traced_peak_blocks(run) <= ceiling

@@ -163,6 +163,18 @@ def test_check_subcommand_reports_conditions(tmp_path, capsys):
     assert [t["stage"] for t in trend] == [8, 16, 32]
 
 
+@pytest.mark.parametrize("name, base", [("e", "e"), ("e", "g"), ("g", "e"), ("g", "g")])
+def test_derived_kernel_base_must_be_plain(tmp_path, capsys, name, base):
+    cfg = write_config(
+        tmp_path,
+        f"[kernel]\nname = {name}\nbase = {base}\n\n[params]\nr = 2\ns = 1\nt = 3\nu = 1\n\n"
+        "[operation]\nop = check\nclass = cbp-regular\n",
+    )
+    assert main(["check", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "kernel.base" in err and "derived kernel" in err
+
+
 def test_dual_subcommand_single_condition(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

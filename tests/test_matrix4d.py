@@ -21,6 +21,8 @@ from dsumm.matrix4d import (
     zero_kernel,
 )
 
+import oracles
+
 P1 = BParams(2, 1, 3, 1)
 P0 = BParams(1, -1, 1, -1)
 PC = BParams(2, 1, 3, 1)  # sigma=-1/2, tau=-1/3, contractive
@@ -263,6 +265,46 @@ def test_g_kernel_matches_shifted_rows():
                         brute += 2.0 * A(m, n - 1, k, l)
                     assert blk[m, n, k, l] == pytest.approx(brute, abs=1e-13)
                     assert G(m, n, k, l) == pytest.approx(brute, abs=1e-13)
+
+
+def test_e_kernel_refuses_non_triangular_kernels():
+    full = matrix_from_array(np.ones((4, 4, 4, 4)), triangular=False, name="full")
+    with pytest.raises(ValueError, match="triangular"):
+        e_kernel(full, PC)
+    e_kernel(matrix_from_array(np.ones((4, 4, 4, 4)), triangular=True), PC)
+
+
+def _bits_equal(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _derived_bases():
+    rng = np.random.default_rng(21)
+    signed_zeros = -cesaro_kernel().block4(9, 9, 9, 9)  # -0.0 off the triangle
+    return [
+        cesaro_kernel(),
+        identity_kernel(),
+        b_kernel(P1),
+        f_kernel(PC),
+        random_triangular(rng, 9),
+        matrix_from_array(signed_zeros, triangular=True, name="signed-zeros"),
+    ]
+
+
+@pytest.mark.parametrize("dims", [(9, 9, 9, 9), (9, 7, 5, 8), (4, 9, 9, 2)])
+def test_slab_built_blocks_match_whole_block_formulas(dims):
+    # a negative a(0, 0) makes -0.0 entries that a running sum must keep
+    negative = from_array(np.random.default_rng(2).uniform(-1.0, -0.5, size=(10, 10)))
+    for p in (P1, P0, BParams(-1, 3, 2, -5)):
+        for a in (corpus("checkerboard"), corpus("boos"), corpus("impulse"), negative):
+            assert _bits_equal(d_kernel(a, p).block4(*dims), oracles.d_block(a, p, *dims))
+        for A in _derived_bases():
+            assert _bits_equal(g_kernel(A, p).block4(*dims), oracles.g_block(A, p, *dims))
+            assert _bits_equal(e_kernel(A, p).block4(*dims), oracles.e_block(A, p, *dims))
+    rng = np.random.default_rng(3)
+    full = matrix_from_array(rng.uniform(-1, 1, size=(10, 10, 10, 10)), name="full")
+    assert _bits_equal(g_kernel(full, P1).block4(*dims), oracles.g_block(full, P1, *dims))
 
 
 def test_g_of_identity_is_band():
