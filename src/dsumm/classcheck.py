@@ -20,12 +20,13 @@ kernel.  The beta report is the conjunction of all seven; the gamma report
 combines bounded fold rows with partial-sum boundedness probes.
 
 Memory contract: every condition is a reduction over the columns (k, l) of
-one row (m, n), so a suite holds the kernel's one cached dense block (plus
-the derived block for the B-domain classes, and one row-prefix table for
-the window-mean suites) and reduces it one row slab [m] at a time into
-side x side tables; no side^4 temporary is made.  Each slab reduction adds
-in the same order as the whole-block expression it replaces, so results are
-bit-for-bit those of the whole-block formulas.
+one row (m, n), so a suite makes one pass over the kernel's row slabs [m]
+(see `FourDimMatrix.slabs`) and reduces each slab, while it is in cache,
+into side x side tables and side^3 probe strips.  No suite holds a dense
+block; the window-mean suites hold one side^4 row-prefix table, their only
+array of that size.  Each slab reduction adds in the same order as the
+whole-block expression it replaces, so results are bit-for-bit those of the
+whole-block formulas.
 """
 
 from __future__ import annotations
@@ -242,51 +243,104 @@ def _sup_condition(condition_id, trend, tol, constants=None):
     return ConditionReport(condition_id, tuple(trend), _verdict(decision), constants or {})
 
 
-def _abs_row_sums(B4: np.ndarray) -> np.ndarray:
-    """Sum of |entries| over the columns of each row (m, n), one row slab at a time."""
-    out = np.empty(B4.shape[:2])
-    for m in range(B4.shape[0]):
-        out[m] = np.abs(B4[m]).sum(axis=(1, 2))
-    return out
+# ---------------------------------------------------------------------------
+# one pass over a kernel's row slabs
+#
+# A reducer takes the row slabs [n, k, l] of one side-S block in order of m
+# through add(m, slab) and keeps only the tables its conditions read.
+
+def _reduce_slabs(slabs, *reducers):
+    """Feed each row slab to every reducer, in order of m.
+
+    Callers pass A.slabs(...) first, so an over-large block is refused
+    before any reducer allocates its tables.
+    """
+    for m, slab in enumerate(slabs):
+        for reducer in reducers:
+            reducer.add(m, slab)
+    return reducers
 
 
-def _cbp_conditions(A: FourDimMatrix, stages, tol, regular: bool):
+def _require_probe_columns(side: int):
+    top = max(_PROBE_RANGE)
+    if side < top:
+        raise ValueError(
+            f"stage side {side} is below {top}: the suite probes columns 0..{top}"
+        )
+
+
+class _RowAbsSums:
+    """Sum of |entries| over the columns of each row (m, n)."""
+
+    def __init__(self, S: int):
+        self.table = np.empty((S + 1, S + 1))
+
+    def add(self, m, slab):
+        self.table[m] = np.abs(slab).sum(axis=(1, 2))
+
+    def sup_trend(self, stages):
+        return [(side, float(self.table[: side + 1, : side + 1].max())) for side in stages]
+
+
+class _ProbeStrips:
+    """Each row's total and its strips through the probe columns.
+
+    cols[m, n, k, l0] and rows[m, n, k0, l] hold the entries of the column
+    strips l = l0 and the row strips k = k0 for the probes l0, k0.
+    """
+
+    def __init__(self, S: int):
+        _require_probe_columns(S)
+        probes = len(_PROBE_RANGE)
+        self.totals = np.empty((S + 1, S + 1))
+        self.cols = np.empty((S + 1, S + 1, S + 1, probes))
+        self.rows = np.empty((S + 1, S + 1, probes, S + 1))
+
+    def add(self, m, slab):
+        self.totals[m] = slab.sum(axis=(1, 2))
+        self.cols[m] = slab[:, :, : len(_PROBE_RANGE)]
+        self.rows[m] = slab[:, : len(_PROBE_RANGE), :]
+
+
+def _cbp_conditions(rows_abs: _RowAbsSums, strips: _ProbeStrips, stages, tol, regular: bool):
     S = max(stages)
-    B4 = A.block4(S, S, S, S)
     tl_big = _tail_lo(S)
     if regular:
-        a_hat = np.zeros((S + 1, S + 1))
+        a_col = np.zeros((S + 1, len(_PROBE_RANGE)))
+        a_row = np.zeros((len(_PROBE_RANGE), S + 1))
         v_hat = 1.0
     else:
-        a_hat = B4[tl_big:, tl_big:, :, :].mean(axis=(0, 1))
-        v_hat = float(B4[tl_big:, tl_big:, :, :].sum(axis=(2, 3)).mean())
-    rows_abs = _abs_row_sums(B4)
-    row_sums = B4.sum(axis=(2, 3))
+        # a_col[:, l0] and a_row[k0, :] are the column and row strips of the
+        # mean row over the largest stage's tail
+        a_col = strips.cols[tl_big:, tl_big:].mean(axis=(0, 1))
+        a_row = strips.rows[tl_big:, tl_big:].mean(axis=(0, 1))
+        v_hat = float(strips.totals[tl_big:, tl_big:].mean())
 
-    sup_trend, entry_trend, total_trend, col_trend, row_trend = [], [], [], [], []
+    sup_trend = rows_abs.sup_trend(stages)
+    entry_trend, total_trend, col_trend, row_trend = [], [], [], []
     for side in stages:
         tl = _tail_lo(side)
-        sup_trend.append((side, float(rows_abs[: side + 1, : side + 1].max())))
-        tail4 = B4[tl: side + 1, tl: side + 1]
+        cols = strips.cols[tl: side + 1, tl: side + 1]
+        rows = strips.rows[tl: side + 1, tl: side + 1]
         entry_res = 0.0
         for k in _PROBE_RANGE:
             for l in _PROBE_RANGE:
                 entry_res = max(
                     entry_res,
-                    float(np.max(np.abs(tail4[:, :, k, l] - a_hat[k, l]))),
+                    float(np.max(np.abs(cols[:, :, k, l] - a_col[k, l]))),
                 )
         entry_trend.append((side, entry_res))
         total_trend.append(
-            (side, float(np.max(np.abs(row_sums[tl: side + 1, tl: side + 1] - v_hat))))
+            (side, float(np.max(np.abs(strips.totals[tl: side + 1, tl: side + 1] - v_hat))))
         )
         col_res = 0.0
         for l0 in _PROBE_RANGE:
-            strip = np.abs(tail4[:, :, : side + 1, l0] - a_hat[None, None, : side + 1, l0])
+            strip = np.abs(cols[:, :, : side + 1, l0] - a_col[None, None, : side + 1, l0])
             col_res = max(col_res, float(strip.sum(axis=2).max()))
         col_trend.append((side, col_res))
         row_res = 0.0
         for k0 in _PROBE_RANGE:
-            strip = np.abs(tail4[:, :, k0, : side + 1] - a_hat[None, None, k0, : side + 1])
+            strip = np.abs(rows[:, :, k0, : side + 1] - a_row[None, None, k0, : side + 1])
             row_res = max(row_res, float(strip.sum(axis=2).max()))
         row_trend.append((side, row_res))
 
@@ -294,7 +348,7 @@ def _cbp_conditions(A: FourDimMatrix, stages, tol, regular: bool):
     if not regular:
         for k in _PROBE_RANGE:
             for l in _PROBE_RANGE:
-                consts[f"a[{k},{l}]"] = float(a_hat[k, l])
+                consts[f"a[{k},{l}]"] = float(a_col[k, l])
     return [
         _sup_condition("row-abs-sup", sup_trend, tol, {"sup": sup_trend[-1][1]}),
         _residual_condition("entry-limits", entry_trend, tol, consts),
@@ -304,15 +358,19 @@ def _cbp_conditions(A: FourDimMatrix, stages, tol, regular: bool):
     ]
 
 
+def _cbp_suite(class_id, A, stages, tol, regular):
+    S = max(stages)
+    tables = _reduce_slabs(A.slabs(S, S, S, S), _RowAbsSums(S), _ProbeStrips(S))
+    return ClassReport.from_conditions(class_id, _cbp_conditions(*tables, stages, tol, regular))
+
+
 def check_cbp_conservative(
     A: FourDimMatrix,
     stages: Sequence[int] = DEFAULT_STAGES,
     tol: ToleranceConfig = ToleranceConfig(),
 ) -> ClassReport:
     """Bounded rows plus entry, total, and strip limits with free constants."""
-    return ClassReport.from_conditions(
-        "cbp-conservative", _cbp_conditions(A, stages, tol, regular=False)
-    )
+    return _cbp_suite("cbp-conservative", A, stages, tol, regular=False)
 
 
 def check_cbp_regular(
@@ -321,9 +379,7 @@ def check_cbp_regular(
     tol: ToleranceConfig = ToleranceConfig(),
 ) -> ClassReport:
     """Same conditions with entry limits pinned at zero and total at one."""
-    return ClassReport.from_conditions(
-        "cbp-regular", _cbp_conditions(A, stages, tol, regular=True)
-    )
+    return _cbp_suite("cbp-regular", A, stages, tol, regular=True)
 
 
 def _shift_neg(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -350,43 +406,46 @@ def _abs_delta(slab: np.ndarray, kind: str) -> np.ndarray:
     return np.abs(slab - shifted_k - _shift_neg(slab, 2) + _shift_neg(shifted_k, 2))
 
 
-def _sparse_delta_trends(B4, masks, stages, kinds) -> dict:
+class _SparseDeltas:
     """Largest tail-row sum of |delta entries| over each mask's cells, per stage.
 
-    Returns {(mask index, kind): trend}.  Each stage sums the columns
-    (k, l) <= (side, side) of rows (m, n) in its tail square, one row slab
-    m at a time; a column past the stage reads its real neighbour.
+    Each stage sums the columns (k, l) <= (side, side) of rows (m, n) in its
+    tail square; a column past the stage reads its real neighbour.
     """
-    S = B4.shape[0] - 1
-    lo = min(_tail_lo(side) for side in stages)
-    tables = {(i, kind, side): np.empty((S + 1, S + 1))
-              for i in range(len(masks)) for kind in kinds for side in stages}
-    for m in range(lo, S + 1):
-        diffs = {kind: _abs_delta(B4[m, lo:], kind) for kind in kinds}
-        for (i, kind, side), table in tables.items():
+
+    def __init__(self, masks, stages, kinds):
+        S = max(stages)
+        self.masks, self.stages, self.kinds = masks, stages, kinds
+        self.lo = min(_tail_lo(side) for side in stages)
+        self.tables = {(i, kind, side): np.empty((S + 1, S + 1))
+                       for i in range(len(masks)) for kind in kinds for side in stages}
+
+    def add(self, m, slab):
+        if m < self.lo:
+            return
+        lo = self.lo
+        diffs = {kind: _abs_delta(slab[lo:], kind) for kind in self.kinds}
+        for (i, kind, side), table in self.tables.items():
             tl = _tail_lo(side)
             if tl <= m <= side:
                 block = diffs[kind][tl - lo: side + 1 - lo, : side + 1, : side + 1]
-                msk = masks[i][: side + 1, : side + 1]
+                msk = self.masks[i][: side + 1, : side + 1]
                 table[m, tl: side + 1] = (block * msk[None, :, :]).sum(axis=(1, 2))
-    trends = {}
-    for i in range(len(masks)):
-        for kind in kinds:
-            trend = trends[i, kind] = []
-            for side in stages:
-                tl = _tail_lo(side)
-                trend.append((side, float(tables[i, kind, side][tl: side + 1, tl: side + 1].max())))
-    return trends
+
+    def trend(self, i: int, kind: str):
+        out = []
+        for side in self.stages:
+            tl = _tail_lo(side)
+            out.append((side, float(self.tables[i, kind, side][tl: side + 1, tl: side + 1].max())))
+        return out
 
 
-def _sparse_delta_conditions(B4, E_sets, stages, tol, kinds):
-    """Tail-row sums of |delta entries| over each sparse set, per kind in kinds."""
-    S = B4.shape[0] - 1
-    trends = _sparse_delta_trends(B4, [E.mask(S, S) for E in E_sets], stages, kinds)
+def _sparse_delta_conditions(deltas: _SparseDeltas, E_sets, tol):
+    """Tail-row sums of |delta entries| over each sparse set, per kind."""
     return [
-        _residual_condition(f"sparse-delta-{kind}({E.name})", trends[i, kind], tol)
+        _residual_condition(f"sparse-delta-{kind}({E.name})", deltas.trend(i, kind), tol)
         for i, E in enumerate(E_sets)
-        for kind in kinds
+        for kind in deltas.kinds
     ]
 
 
@@ -399,35 +458,41 @@ def check_strong_to_bp(
     """Regular conditions plus vanishing sparse difference sums per index set."""
     E_sets = tuple(E_sets) if E_sets is not None else (diagonal_set(),)
     _require_zero_density(E_sets, stages, tol)
-    conds = _cbp_conditions(A, stages, tol, regular=True)
     S = max(stages)
-    B4 = A.block4(S, S, S, S)
-    conds.extend(_sparse_delta_conditions(B4, E_sets, stages, tol, ("k", "l")))
+    rows_abs, strips, deltas = _reduce_slabs(
+        A.slabs(S, S, S, S), _RowAbsSums(S), _ProbeStrips(S),
+        _SparseDeltas([E.mask(S, S) for E in E_sets], stages, ("k", "l")),
+    )
+    conds = _cbp_conditions(rows_abs, strips, stages, tol, regular=True)
+    conds.extend(_sparse_delta_conditions(deltas, E_sets, tol))
     return ClassReport.from_conditions("strong-to-bp", conds)
 
 
 # ---------------------------------------------------------------------------
 # window-mean suites
 
-def _row_prefix_table(B4: np.ndarray) -> np.ndarray:
-    """P[m+1, n+1, i, j] = sum of column (i, j) over rows (m', n') <= (m, n).
+class _RowPrefix:
+    """table[m+1, n+1, i, j] = sum of column (i, j) over rows (m', n') <= (m, n).
 
-    Row 0 and column 0 of P are zero.  A running sum up to row m reads no
-    later row, so a stage's table is the corner
-    P[: side + 2, : side + 2, : side + 1, : side + 1] of the largest one.
+    Row 0 and column 0 of the table are zero.  A running sum up to row m
+    reads no later row, so a stage's table is the corner
+    table[: side + 2, : side + 2, : side + 1, : side + 1] of the largest one.
     The accumulator starts as a copy of row 0 (not zero plus row 0), so a
     -0.0 entry keeps its sign, as in a cumsum over the whole block.
     """
-    K, L = B4.shape[:2]
-    P = np.empty((K + 1, L + 1) + B4.shape[2:])
-    P[0] = 0.0
-    P[:, 0] = 0.0
-    acc = B4[0].copy()
-    for m in range(K):
-        if m:
-            acc += B4[m]
-        np.cumsum(acc, axis=0, out=P[m + 1, 1:])
-    return P
+
+    def __init__(self, S: int):
+        self.table = np.empty((S + 2, S + 2, S + 1, S + 1))
+        self.table[0] = 0.0
+        self.table[:, 0] = 0.0
+        self._acc = None
+
+    def add(self, m, slab):
+        if self._acc is None:
+            self._acc = slab.copy()
+        else:
+            self._acc += slab
+        np.cumsum(self._acc, axis=0, out=self.table[m + 1, 1:])
 
 
 def _window_means(P: np.ndarray, m: int, q: int, qp: int) -> np.ndarray:
@@ -491,23 +556,21 @@ def _window_row_stats(P: np.ndarray, q: int, qp: int, a_hat: np.ndarray, with_de
     return stats
 
 
-def _almost_conditions(A: FourDimMatrix, stages, tol, regular: bool, with_deltas: bool):
+def _almost_conditions(rows_abs: _RowAbsSums, prefix: _RowPrefix, stages, tol,
+                       regular: bool, with_deltas: bool):
     S = max(stages)
-    B4 = A.block4(S, S, S, S)
-    rows_abs = _abs_row_sums(B4)
-    P = _row_prefix_table(B4)
-
+    P = prefix.table
     if regular:
         a_hat = np.zeros((S + 1, S + 1))
         u_hat = 1.0
     else:
         a_hat, u_hat = _window_limit_estimates(P, S)
 
-    sup_trend, entry_trend, total_trend = [], [], []
+    sup_trend = rows_abs.sup_trend(stages)
+    entry_trend, total_trend = [], []
     col_trend, row_trend = [], []
     dk_trend, dl_trend = [], []
     for side in stages:
-        sup_trend.append((side, float(rows_abs[: side + 1, : side + 1].max())))
         P_side = P[: side + 2, : side + 2, : side + 1, : side + 1]
         entry_res = total_res = col_res = row_res = 0.0
         dk_res = dl_res = 0.0
@@ -550,16 +613,28 @@ def _almost_conditions(A: FourDimMatrix, stages, tol, regular: bool, with_deltas
     return conds
 
 
+def _window_tables(A: FourDimMatrix, stages, *extra):
+    """Row |sums| and the row-prefix table of A (plus any extra reducers), in one pass."""
+    for side in stages:
+        _require_probe_columns(side)
+    S = max(stages)
+    return _reduce_slabs(A.slabs(S, S, S, S), _RowAbsSums(S), _RowPrefix(S), *extra)
+
+
+def _almost_suite(class_id, A, stages, tol, regular, with_deltas):
+    rows_abs, prefix = _window_tables(A, stages)
+    return ClassReport.from_conditions(
+        class_id, _almost_conditions(rows_abs, prefix, stages, tol, regular, with_deltas)
+    )
+
+
 def check_almost_conservative(
     A: FourDimMatrix,
     stages: Sequence[int] = DEFAULT_STAGES,
     tol: ToleranceConfig = ToleranceConfig(),
 ) -> ClassReport:
     """Window-mean limits of columns, totals, and strips with free constants."""
-    return ClassReport.from_conditions(
-        "almost-conservative",
-        _almost_conditions(A, stages, tol, regular=False, with_deltas=False),
-    )
+    return _almost_suite("almost-conservative", A, stages, tol, regular=False, with_deltas=False)
 
 
 def check_almost_regular(
@@ -568,10 +643,7 @@ def check_almost_regular(
     tol: ToleranceConfig = ToleranceConfig(),
 ) -> ClassReport:
     """Window-mean conditions with column limits zero and total one."""
-    return ClassReport.from_conditions(
-        "almost-regular",
-        _almost_conditions(A, stages, tol, regular=True, with_deltas=False),
-    )
+    return _almost_suite("almost-regular", A, stages, tol, regular=True, with_deltas=False)
 
 
 def check_strongly_regular(
@@ -580,10 +652,7 @@ def check_strongly_regular(
     tol: ToleranceConfig = ToleranceConfig(),
 ) -> ClassReport:
     """Almost regularity plus vanishing window-mean difference totals."""
-    return ClassReport.from_conditions(
-        "strongly-regular",
-        _almost_conditions(A, stages, tol, regular=True, with_deltas=True),
-    )
+    return _almost_suite("strongly-regular", A, stages, tol, regular=True, with_deltas=True)
 
 
 def check_strong_almost_to_almost(
@@ -595,10 +664,12 @@ def check_strong_almost_to_almost(
     """Almost regularity plus vanishing mixed-difference sums per sparse set."""
     E_sets = tuple(E_sets) if E_sets is not None else (diagonal_set(),)
     _require_zero_density(E_sets, stages, tol)
-    conds = _almost_conditions(A, stages, tol, regular=True, with_deltas=False)
     S = max(stages)
-    B4 = A.block4(S, S, S, S)
-    conds.extend(_sparse_delta_conditions(B4, E_sets, stages, tol, ("kl",)))
+    rows_abs, prefix, deltas = _window_tables(
+        A, stages, _SparseDeltas([E.mask(S, S) for E in E_sets], stages, ("kl",))
+    )
+    conds = _almost_conditions(rows_abs, prefix, stages, tol, regular=True, with_deltas=False)
+    conds.extend(_sparse_delta_conditions(deltas, E_sets, tol))
     return ClassReport.from_conditions("strong-almost-to-almost", conds)
 
 
@@ -620,10 +691,8 @@ def check_Cf_to_Mu(
     their truncated products must stabilize as the column range grows.
     """
     S = max(stages)
-    rows_abs = _abs_row_sums(A.block4(S, S, S, S))
-    sup_trend = [
-        (side, float(rows_abs[: side + 1, : side + 1].max())) for side in stages
-    ]
+    rows_abs, = _reduce_slabs(A.slabs(S, S, S, S), _RowAbsSums(S))
+    sup_trend = rows_abs.sup_trend(stages)
 
     s0 = stages[0]
     probe_rows = ((s0, s0), (s0, s0 // 2), (s0 // 2, s0))
@@ -725,14 +794,20 @@ class _DualScans:
 
     Constants are estimated on an extension grid twice the largest stage;
     stage residuals are read off the same arrays so the two stay coherent.
+    The scaled fold D(a) is read in one pass over its row slabs, which
+    yields its row |sums| and the sparse delta sums over E of each kind in
+    delta_kinds.
     """
 
-    def __init__(self, a: DoubleSequence, p: BParams, stages):
+    def __init__(self, a: DoubleSequence, p: BParams, stages, E: Optional[IndexSet] = None,
+                 delta_kinds=()):
         self.a = a
         self.p = p
         self.stages = tuple(stages)
         self.S = max(stages)
         self.X = 2 * self.S
+        self.E = E if E is not None else diagonal_set()
+        self.delta_kinds = tuple(delta_kinds)
         self._memo = {}
 
     def ext_grid(self) -> np.ndarray:
@@ -740,10 +815,16 @@ class _DualScans:
             self._memo["ag"] = self.a.grid(self.X, self.X)
         return self._memo["ag"]
 
-    def d_block(self) -> np.ndarray:
-        if "D4" not in self._memo:
-            self._memo["D4"] = d_kernel(self.a, self.p).block4(self.S, self.S, self.S, self.S)
-        return self._memo["D4"]
+    def fold_pass(self):
+        """Row |sums| (and sparse deltas, with delta_kinds) of the scaled fold, in one pass."""
+        if "fold" not in self._memo:
+            S = self.S
+            slabs = d_kernel(self.a, self.p).slabs(S, S, S, S)
+            reducers = [_RowAbsSums(S)]
+            if self.delta_kinds:
+                reducers.append(_SparseDeltas([self.E.mask(S, S)], self.stages, self.delta_kinds))
+            self._memo["fold"] = _reduce_slabs(slabs, *reducers)
+        return self._memo["fold"]
 
     def cube_l(self, l0: int) -> np.ndarray:
         key = ("cl", l0)
@@ -772,11 +853,14 @@ class _DualScans:
         return float(grid2d[t:, t:].mean())
 
 
-def _dual_condition(scans: _DualScans, which: str, tol: ToleranceConfig, E: IndexSet) -> ConditionReport:
+# sparse delta kind of each dual condition that reads one
+_DUAL_DELTA_KINDS = {"d6": "l", "d7": "k"}
+
+
+def _dual_condition(scans: _DualScans, which: str, tol: ToleranceConfig) -> ConditionReport:
     stages = scans.stages
     if which == "d1":
-        rows = _abs_row_sums(scans.d_block())
-        trend = [(s, float(rows[: s + 1, : s + 1].max())) for s in stages]
+        trend = scans.fold_pass()[0].sup_trend(stages)
         return _sup_condition("transform-row-abs-sup", trend, tol, {"sup": trend[-1][1]})
 
     if which == "d2":
@@ -831,11 +915,10 @@ def _dual_condition(scans: _DualScans, which: str, tol: ToleranceConfig, E: Inde
         trend = [(s, per_stage[s]) for s in stages]
         return _residual_condition("transform-row-strips", trend, tol)
 
-    if which in ("d6", "d7"):
-        kind = "l" if which == "d6" else "k"
-        mask = E.mask(scans.S, scans.S)
-        trend = _sparse_delta_trends(scans.d_block(), [mask], stages, (kind,))[0, kind]
-        return _residual_condition(f"transform-sparse-delta-{kind}({E.name})", trend, tol)
+    if which in _DUAL_DELTA_KINDS:
+        kind = _DUAL_DELTA_KINDS[which]
+        trend = scans.fold_pass()[1].trend(0, kind)
+        return _residual_condition(f"transform-sparse-delta-{kind}({scans.E.name})", trend, tol)
 
     if which == "alpha":
         if not scans.p.contractive:
@@ -859,10 +942,11 @@ def dual_membership(
     E: Optional[IndexSet] = None,
 ) -> ConditionReport:
     """One dual condition for the coefficient sequence a under parameters p."""
-    E = E if E is not None else diagonal_set()
-    if which in ("d6", "d7"):
-        _require_zero_density((E,), stages, tol)
-    return _dual_condition(_DualScans(a, p, stages), which, tol, E)
+    kinds = (_DUAL_DELTA_KINDS[which],) if which in _DUAL_DELTA_KINDS else ()
+    scans = _DualScans(a, p, stages, E, kinds)
+    if kinds:
+        _require_zero_density((scans.E,), stages, tol)
+    return _dual_condition(scans, which, tol)
 
 
 def beta_dual_report(
@@ -873,11 +957,10 @@ def beta_dual_report(
     E: Optional[IndexSet] = None,
 ) -> ClassReport:
     """Conjunction of the seven fold conditions."""
-    E = E if E is not None else diagonal_set()
-    _require_zero_density((E,), stages, tol)
-    scans = _DualScans(a, p, stages)
+    scans = _DualScans(a, p, stages, E, delta_kinds=("l", "k"))
+    _require_zero_density((scans.E,), stages, tol)
     conds = [
-        _dual_condition(scans, w, tol, E)
+        _dual_condition(scans, w, tol)
         for w in ("d1", "d2", "d3", "d4", "d5", "d6", "d7")
     ]
     return ClassReport.from_conditions("beta-dual", conds)
@@ -898,7 +981,7 @@ def gamma_dual_report(
     ask only that the truncated products stay bounded.
     """
     scans = _DualScans(a, p, stages)
-    d1 = _dual_condition(scans, "d1", tol, diagonal_set())
+    d1 = _dual_condition(scans, "d1", tol)
     S = max(stages)
     trend = []
     grids = []

@@ -14,15 +14,16 @@ by the duality and class-characterization checks:
     E(A) folds each row of a matrix through it, and G(A) is the band
     applied to the rows of A.
 
-Everything is evaluated on finite truncations.  Dense 4-D blocks are the
-workhorse representation for the condition suites; they are cached per
-matrix and built vectorized whenever the kernel has enough structure.
+Everything is evaluated on finite truncations.  A kernel hands out its
+entries one row slab [n, k, l] at a time, built vectorized from elementwise
+formulas; the condition suites reduce each slab as it comes, and no kernel
+caches a dense 4-D block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -48,7 +49,7 @@ __all__ = [
     "norm_BCf",
 ]
 
-# Dense 4-D blocks beyond this many cells are refused rather than allocated.
+# 4-D blocks beyond this many cells are refused, whether assembled or streamed.
 _BLOCK_CELL_LIMIT = 40_000_000
 
 
@@ -99,26 +100,27 @@ class FourDimMatrix:
     `entry` is the scalar rule.  The optional `*_rule` hooks provide
     vectorized evaluation and must agree with `entry` exactly:
 
-      * block4_rule(K, L, I, J): dense array indexed [m, n, k, l],
+      * slab_rule(m0, K, L, I, J): yields the row slabs of rows m = m0..K in
+        order, each an array indexed [n, k, l] for n <= L, k <= I, l <= J,
       * row_block_rule(m, n, K, L): one row as an array indexed [k, l],
       * apply_rule(x_grid): the transform of a grid, same shape, exact for
         triangular kernels.
 
-    Dense blocks are cached grow-only, keyed by nothing: one block per
-    matrix, extended as larger truncations are requested.  The cached block
-    is the only side^4 array a kernel holds: the derived kernels d, e and g
-    build theirs one row slab [m] at a time into one preallocated output,
-    and the class suites reduce it one row slab at a time.
+    A kernel holds no arrays: the class suites and duals reduce its row
+    slabs one m at a time, the derived kernels d, e and g stream theirs
+    from their base's slabs, and `block4` assembles a dense block from the
+    slabs only for whole-block products and tests.  A kernel without a slab
+    rule builds its slabs and rows from `entry`, and one with a slab rule but
+    no row rule takes its rows from a slab.
     """
 
     entry: Callable[[int, int, int, int], float]
     triangular: bool = False
     band: Optional[str] = None
     name: str = ""
-    block4_rule: Optional[Callable[[int, int, int, int], np.ndarray]] = None
+    slab_rule: Optional[Callable[[int, int, int, int, int], Iterable[np.ndarray]]] = None
     row_block_rule: Optional[Callable[[int, int, int, int], np.ndarray]] = None
     apply_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, m: int, n: int, k: int, l: int) -> float:
         if min(m, n, k, l) < 0:
@@ -127,43 +129,21 @@ class FourDimMatrix:
             return 0.0
         return float(self.entry(m, n, k, l))
 
-    def block4(self, K: int, L: int, I: int, J: int) -> np.ndarray:
-        """Dense entries for rows (m, n) <= (K, L) and columns (k, l) <= (I, J)."""
-        _check_block_size(K, L, I, J)
-        cached = self._cache.get("block4")
-        if cached is not None and all(
-            cached.shape[d] >= want
-            for d, want in enumerate((K + 1, L + 1, I + 1, J + 1))
-        ):
-            return cached[: K + 1, : L + 1, : I + 1, : J + 1]
-        dims = (K, L, I, J)
-        if cached is not None:
-            dims = tuple(max(d, c - 1) for d, c in zip(dims, cached.shape))
-            _check_block_size(*dims)
-        bK, bL, bI, bJ = dims
-        if self.block4_rule is not None:
-            blk = np.asarray(self.block4_rule(bK, bL, bI, bJ), dtype=float)
-        else:
-            blk = np.empty((bK + 1, bL + 1, bI + 1, bJ + 1), dtype=float)
-            for m in range(bK + 1):
-                for n in range(bL + 1):
-                    blk[m, n] = self.row_block(m, n, bI, bJ)
-        self._cache["block4"] = blk
-        return blk[: K + 1, : L + 1, : I + 1, : J + 1]
+    def slabs(self, K: int, L: int, I: int, J: int, start: int = 0) -> Iterator[np.ndarray]:
+        """Row slabs [n, k, l] of the block (K, L, I, J) for m = start..K, in order.
 
-    def row_block(self, m: int, n: int, K: int, L: int) -> np.ndarray:
-        """Row (m, n) restricted to columns (k, l) <= (K, L) as a dense array."""
-        if self.row_block_rule is not None:
-            return np.asarray(self.row_block_rule(m, n, K, L), dtype=float)
-        cached = self._cache.get("block4")
-        if (
-            cached is not None
-            and cached.shape[0] > m
-            and cached.shape[1] > n
-            and cached.shape[2] >= K + 1
-            and cached.shape[3] >= L + 1
-        ):
-            return cached[m, n, : K + 1, : L + 1]
+        Each slab is C-contiguous, so a reduction over it adds in the order
+        of the same reduction over the whole block.
+        """
+        _check_block_size(K, L, I, J)
+        if self.slab_rule is not None:
+            return (np.ascontiguousarray(s, dtype=float) for s in self.slab_rule(start, K, L, I, J))
+        return (self._slab_from_entries(m, L, I, J) for m in range(start, K + 1))
+
+    def _slab_from_entries(self, m: int, L: int, I: int, J: int) -> np.ndarray:
+        return np.stack([self._row_from_entries(m, n, I, J) for n in range(L + 1)])
+
+    def _row_from_entries(self, m: int, n: int, K: int, L: int) -> np.ndarray:
         out = np.zeros((K + 1, L + 1), dtype=float)
         kmax = min(K, m) if self.triangular else K
         lmax = min(L, n) if self.triangular else L
@@ -171,6 +151,23 @@ class FourDimMatrix:
             for l in range(lmax + 1):
                 out[k, l] = self.entry(m, n, k, l)
         return out
+
+    def block4(self, K: int, L: int, I: int, J: int) -> np.ndarray:
+        """Dense entries for rows (m, n) <= (K, L) and columns (k, l) <= (I, J)."""
+        slabs = self.slabs(K, L, I, J)
+        out = np.empty((K + 1, L + 1, I + 1, J + 1), dtype=float)
+        for m, slab in enumerate(slabs):
+            out[m] = slab
+        return out
+
+    def row_block(self, m: int, n: int, K: int, L: int) -> np.ndarray:
+        """Row (m, n) restricted to columns (k, l) <= (K, L) as a dense array."""
+        if self.row_block_rule is not None:
+            return np.asarray(self.row_block_rule(m, n, K, L), dtype=float)
+        if self.slab_rule is None:
+            return self._row_from_entries(m, n, K, L)
+        # one side^3 slab, so the dense-block limit on (m, n, K, L) does not apply
+        return np.asarray(next(iter(self.slab_rule(m, m, n, K, L)))[n], dtype=float)
 
 
 def matrix_from_array(values, triangular: bool = False, name: str = "array-kernel") -> FourDimMatrix:
@@ -186,20 +183,21 @@ def matrix_from_array(values, triangular: bool = False, name: str = "array-kerne
             return 0.0
         return float(arr[m, n, k, l])
 
-    def block4_rule(K, L, I, J):
+    def slab_rule(m0, K, L, I, J):
         if K >= arr.shape[0] or L >= arr.shape[1]:
             raise ValueError("requested rows outside the stored array")
-        out = np.zeros((K + 1, L + 1, I + 1, J + 1), dtype=float)
         ci = min(I + 1, arr.shape[2])
         cj = min(J + 1, arr.shape[3])
-        out[:, :, :ci, :cj] = arr[: K + 1, : L + 1, :ci, :cj]
-        return out
+        for m in range(m0, K + 1):
+            slab = np.zeros((L + 1, I + 1, J + 1), dtype=float)
+            slab[:, :ci, :cj] = arr[m, : L + 1, :ci, :cj]
+            yield slab
 
     return FourDimMatrix(
         entry=entry,
         triangular=triangular,
         name=name,
-        block4_rule=block4_rule,
+        slab_rule=slab_rule,
     )
 
 
@@ -222,17 +220,21 @@ def b_kernel(p: BParams) -> FourDimMatrix:
             return su
         return 0.0
 
-    def block4_rule(K, L, I, J):
-        blk = np.zeros((K + 1, L + 1, I + 1, J + 1), dtype=float)
+    def slab_rule(m0, K, L, I, J):
+        for m in range(m0, K + 1):
+            slab = np.zeros((L + 1, I + 1, J + 1), dtype=float)
+            for dm, dn, val in ((0, 0, rt), (1, 0, st), (0, 1, ru), (1, 1, su)):
+                if 0 <= m - dm <= I:
+                    nn = np.arange(dn, min(L, J + dn) + 1)
+                    slab[nn, m - dm, nn - dn] = val
+            yield slab
+
+    def row_block_rule(m, n, K, L):
+        out = np.zeros((K + 1, L + 1), dtype=float)
         for dm, dn, val in ((0, 0, rt), (1, 0, st), (0, 1, ru), (1, 1, su)):
-            m_hi = min(K, I + dm)
-            n_hi = min(L, J + dn)
-            if m_hi < dm or n_hi < dn:
-                continue
-            mm = np.arange(dm, m_hi + 1)
-            nn = np.arange(dn, n_hi + 1)
-            blk[mm[:, None], nn[None, :], (mm - dm)[:, None], (nn - dn)[None, :]] = val
-        return blk
+            if 0 <= m - dm <= K and 0 <= n - dn <= L:
+                out[m - dm, n - dn] = val
+        return out
 
     def apply_rule(g):
         s11 = np.zeros_like(g)
@@ -248,7 +250,8 @@ def b_kernel(p: BParams) -> FourDimMatrix:
         triangular=True,
         band="columns {m-1,m} x {n-1,n}",
         name="b",
-        block4_rule=block4_rule,
+        slab_rule=slab_rule,
+        row_block_rule=row_block_rule,
         apply_rule=apply_rule,
     )
 
@@ -293,10 +296,16 @@ def f_kernel(p: BParams) -> FourDimMatrix:
             return 0.0
         return sigma ** (m - k) * tau ** (n - l) / rt
 
-    def block4_rule(K, L, I, J):
+    def slab_rule(m0, K, L, I, J):
         P = _power_lower_triangle(sigma, K + 1, I + 1)
         Q = _power_lower_triangle(tau, L + 1, J + 1)
-        return P[:, None, :, None] * Q[None, :, None, :] / rt
+        for m in range(m0, K + 1):
+            yield P[m, None, :, None] * Q[:, None, :] / rt
+
+    def row_block_rule(m, n, K, L):
+        P = _power_lower_triangle(sigma, m + 1, K + 1)
+        Q = _power_lower_triangle(tau, n + 1, L + 1)
+        return P[m, :, None] * Q[n, None, :] / rt
 
     def apply_rule(g):
         return _inverse_scan(g, sigma, tau, rt)
@@ -306,7 +315,8 @@ def f_kernel(p: BParams) -> FourDimMatrix:
         triangular=True,
         band="full lower triangle",
         name="f",
-        block4_rule=block4_rule,
+        slab_rule=slab_rule,
+        row_block_rule=row_block_rule,
         apply_rule=apply_rule,
     )
 
@@ -425,18 +435,19 @@ def compose(A: FourDimMatrix, B: FourDimMatrix, tr: Truncation = Truncation(32, 
                 acc += A(m, n, i, j) * B(i, j, k, l)
         return acc
 
-    def block4_rule(K, L, I, J):
+    def slab_rule(m0, K, L, I, J):
+        # one whole-block matmul, so every entry rounds as in a single product
         A4 = A.block4(K, L, tr.M, tr.N)
         B4 = B.block4(tr.M, tr.N, I, J)
         left = A4.reshape((K + 1) * (L + 1), (tr.M + 1) * (tr.N + 1))
         right = B4.reshape((tr.M + 1) * (tr.N + 1), (I + 1) * (J + 1))
-        return (left @ right).reshape(K + 1, L + 1, I + 1, J + 1)
+        yield from (left @ right).reshape(K + 1, L + 1, I + 1, J + 1)[m0:]
 
     return FourDimMatrix(
         entry=entry,
         triangular=both_tri,
         name=f"({A.name or 'A'}*{B.name or 'B'})",
-        block4_rule=block4_rule,
+        slab_rule=slab_rule,
     )
 
 
@@ -481,24 +492,23 @@ def d_kernel(a: DoubleSequence, p: BParams) -> FourDimMatrix:
             return 0.0
         return float(row_block_rule(m, n, m, n)[k, l])
 
-    def block4_rule(K, L, I, J):
+    def slab_rule(m0, K, L, I, J):
         R = a.grid(K, L)
         P = _power_lower_triangle(sigma, K + 1, I + 1)
         Q = _power_lower_triangle(tau, L + 1, J + 1)
         # running sum over the row index m, then a cumsum over n inside the slab
-        out = np.empty((K + 1, L + 1, I + 1, J + 1))
         acc = None
         for m in range(K + 1):
             W = R[m, :, None, None] * P[m, None, :, None] * Q[:, None, :]
             acc = W if acc is None else acc + W
-            out[m] = acc.cumsum(axis=0) / rt
-        return out
+            if m >= m0:
+                yield acc.cumsum(axis=0) / rt
 
     return FourDimMatrix(
         entry=entry,
         triangular=True,
         name=f"d[{a.name or 'a'}]",
-        block4_rule=block4_rule,
+        slab_rule=slab_rule,
         row_block_rule=row_block_rule,
     )
 
@@ -533,23 +543,20 @@ def e_kernel(A: FourDimMatrix, p: BParams) -> FourDimMatrix:
             return 0.0
         return float(row_block_rule(m, n, m, n)[k, l])
 
-    def block4_rule(K, L, I, J):
-        A4 = A.block4(K, L, K, L)
+    def slab_rule(m0, K, L, I, J):
         P = _power_lower_triangle(sigma, K + 1, I + 1)
         Q = _power_lower_triangle(tau, L + 1, J + 1)
-        # contract each row slab's column indices against the geometric triangles
-        out = np.empty((K + 1, L + 1, I + 1, J + 1))
-        for m in range(K + 1):
-            T = np.tensordot(A4[m], Q, axes=([2], [0]))
+        # contract each base slab's column indices against the geometric triangles
+        for slab in A.slabs(K, L, K, L, m0):
+            T = np.tensordot(slab, Q, axes=([2], [0]))
             E3 = np.tensordot(T.transpose(0, 2, 1), P, axes=([2], [0]))
-            out[m] = E3.transpose(0, 2, 1) / rt
-        return out
+            yield E3.transpose(0, 2, 1) / rt
 
     return FourDimMatrix(
         entry=entry,
         triangular=True,
         name=f"e[{A.name or 'A'}]",
-        block4_rule=block4_rule,
+        slab_rule=slab_rule,
         row_block_rule=row_block_rule,
     )
 
@@ -559,30 +566,35 @@ def g_kernel(A: FourDimMatrix, p: BParams) -> FourDimMatrix:
     su, st = p.s * p.u, p.s * p.t
     ru, rt = p.r * p.u, p.r * p.t
 
-    def entry(m, n, k, l):
-        acc = su * (A(m - 1, n - 1, k, l) if m > 0 and n > 0 else 0.0)
-        acc = acc + st * (A(m - 1, n, k, l) if m > 0 else 0.0)
-        acc = acc + ru * (A(m, n - 1, k, l) if n > 0 else 0.0)
-        return acc + rt * A(m, n, k, l)
+    def row_block_rule(m, n, K, L):
+        zero = np.zeros((K + 1, L + 1), dtype=float)
+        s11 = A.row_block(m - 1, n - 1, K, L) if m and n else zero
+        s10 = A.row_block(m - 1, n, K, L) if m else zero
+        s01 = A.row_block(m, n - 1, K, L) if n else zero
+        return su * s11 + st * s10 + ru * s01 + rt * A.row_block(m, n, K, L)
 
-    def block4_rule(K, L, I, J):
-        A4 = A.block4(K, L, I, J)
-        out = np.empty_like(A4)
-        zero = np.zeros_like(A4[0])
-        for m in range(K + 1):
-            s10 = A4[m - 1] if m else zero
-            s11 = np.zeros_like(zero)
-            s11[1:] = s10[:-1]
-            s01 = np.zeros_like(zero)
-            s01[1:] = A4[m, :-1]
-            out[m] = su * s11 + st * s10 + ru * s01 + rt * A4[m]
-        return out
+    def entry(m, n, k, l):
+        return float(row_block_rule(m, n, k, l)[k, l])
+
+    def slab_rule(m0, K, L, I, J):
+        first = max(m0 - 1, 0)
+        prev = None
+        for m, slab in enumerate(A.slabs(K, L, I, J, first), start=first):
+            if m >= m0:
+                s10 = prev if m else np.zeros_like(slab)
+                s11 = np.zeros_like(slab)
+                s11[1:] = s10[:-1]
+                s01 = np.zeros_like(slab)
+                s01[1:] = slab[:-1]
+                yield su * s11 + st * s10 + ru * s01 + rt * slab
+            prev = slab
 
     return FourDimMatrix(
         entry=entry,
         triangular=A.triangular,
         name=f"g[{A.name or 'A'}]",
-        block4_rule=block4_rule,
+        slab_rule=slab_rule,
+        row_block_rule=row_block_rule,
     )
 
 
@@ -597,11 +609,12 @@ def cesaro_kernel() -> FourDimMatrix:
             return 0.0
         return 1.0 / ((m + 1) * (n + 1))
 
-    def block4_rule(K, L, I, J):
+    def slab_rule(m0, K, L, I, J):
         w = 1.0 / np.outer(np.arange(1, K + 2, dtype=float), np.arange(1, L + 2, dtype=float))
         mk = (np.arange(I + 1)[None, :] <= np.arange(K + 1)[:, None]).astype(float)
         nl = (np.arange(J + 1)[None, :] <= np.arange(L + 1)[:, None]).astype(float)
-        return w[:, :, None, None] * mk[:, None, :, None] * nl[None, :, None, :]
+        for m in range(m0, K + 1):
+            yield w[m, :, None, None] * mk[m, None, :, None] * nl[:, None, :]
 
     def apply_rule(g):
         sums = g.cumsum(axis=0).cumsum(axis=1)
@@ -617,7 +630,7 @@ def cesaro_kernel() -> FourDimMatrix:
         entry=entry,
         triangular=True,
         name="cesaro",
-        block4_rule=block4_rule,
+        slab_rule=slab_rule,
         row_block_rule=row_block_rule,
         apply_rule=apply_rule,
     )
@@ -627,18 +640,26 @@ def identity_kernel() -> FourDimMatrix:
     def entry(m, n, k, l):
         return 1.0 if (k == m and l == n) else 0.0
 
-    def block4_rule(K, L, I, J):
-        blk = np.zeros((K + 1, L + 1, I + 1, J + 1), dtype=float)
-        mm = np.arange(min(K, I) + 1)
+    def slab_rule(m0, K, L, I, J):
         nn = np.arange(min(L, J) + 1)
-        blk[mm[:, None], nn[None, :], mm[:, None], nn[None, :]] = 1.0
-        return blk
+        for m in range(m0, K + 1):
+            slab = np.zeros((L + 1, I + 1, J + 1), dtype=float)
+            if m <= I:
+                slab[nn, m, nn] = 1.0
+            yield slab
+
+    def row_block_rule(m, n, K, L):
+        out = np.zeros((K + 1, L + 1), dtype=float)
+        if m <= K and n <= L:
+            out[m, n] = 1.0
+        return out
 
     return FourDimMatrix(
         entry=entry,
         triangular=True,
         name="identity",
-        block4_rule=block4_rule,
+        slab_rule=slab_rule,
+        row_block_rule=row_block_rule,
         apply_rule=lambda g: g.copy(),
     )
 
@@ -648,7 +669,7 @@ def zero_kernel() -> FourDimMatrix:
         entry=lambda m, n, k, l: 0.0,
         triangular=True,
         name="zero",
-        block4_rule=lambda K, L, I, J: np.zeros((K + 1, L + 1, I + 1, J + 1)),
+        slab_rule=lambda m0, K, L, I, J: (np.zeros((L + 1, I + 1, J + 1)) for _ in range(m0, K + 1)),
         row_block_rule=lambda m, n, K, L: np.zeros((K + 1, L + 1)),
         apply_rule=lambda g: np.zeros_like(g),
     )

@@ -2,9 +2,9 @@
 
 Scalar oracles evaluate one entry difference, window mean or index-set count
 straight from the definitions.  Whole-block oracles are the dense-array
-expressions the class suites and derived-kernel builders used before they
-streamed one row slab at a time: they make side^4 temporaries, and the
-streamed code must reproduce their results bit for bit.
+expressions the kernels, class suites and derived-kernel builders used
+before they streamed one row slab at a time: they make side^4 temporaries,
+and the streamed code must reproduce their results bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +58,53 @@ def count_in_rectangle(E, m, n, p, q):
             if E.contains(j, k):
                 total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# whole-block plain kernels
+
+def b_block(p, K, L, I, J):
+    su, st, ru, rt = p.s * p.u, p.s * p.t, p.r * p.u, p.r * p.t
+    blk = np.zeros((K + 1, L + 1, I + 1, J + 1), dtype=float)
+    for dm, dn, val in ((0, 0, rt), (1, 0, st), (0, 1, ru), (1, 1, su)):
+        m_hi = min(K, I + dm)
+        n_hi = min(L, J + dn)
+        if m_hi < dm or n_hi < dn:
+            continue
+        mm = np.arange(dm, m_hi + 1)
+        nn = np.arange(dn, n_hi + 1)
+        blk[mm[:, None], nn[None, :], (mm - dm)[:, None], (nn - dn)[None, :]] = val
+    return blk
+
+
+def f_block(p, K, L, I, J):
+    P = _power_lower_triangle(p.sigma, K + 1, I + 1)
+    Q = _power_lower_triangle(p.tau, L + 1, J + 1)
+    return P[:, None, :, None] * Q[None, :, None, :] / p.rt
+
+
+def cesaro_block(K, L, I, J):
+    w = 1.0 / np.outer(np.arange(1, K + 2, dtype=float), np.arange(1, L + 2, dtype=float))
+    mk = (np.arange(I + 1)[None, :] <= np.arange(K + 1)[:, None]).astype(float)
+    nl = (np.arange(J + 1)[None, :] <= np.arange(L + 1)[:, None]).astype(float)
+    return w[:, :, None, None] * mk[:, None, :, None] * nl[None, :, None, :]
+
+
+def identity_block(K, L, I, J):
+    blk = np.zeros((K + 1, L + 1, I + 1, J + 1), dtype=float)
+    mm = np.arange(min(K, I) + 1)
+    nn = np.arange(min(L, J) + 1)
+    blk[mm[:, None], nn[None, :], mm[:, None], nn[None, :]] = 1.0
+    return blk
+
+
+def array_block(arr, K, L, I, J):
+    """The block of matrix_from_array(arr): stored entries, zero past the stored columns."""
+    out = np.zeros((K + 1, L + 1, I + 1, J + 1), dtype=float)
+    ci = min(I + 1, arr.shape[2])
+    cj = min(J + 1, arr.shape[3])
+    out[:, :, :ci, :cj] = arr[: K + 1, : L + 1, :ci, :cj]
+    return out
 
 
 # ---------------------------------------------------------------------------

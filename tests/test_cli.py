@@ -57,6 +57,14 @@ def test_transform_prints_17_digit_corner(tmp_path, capsys):
     assert "0.16666666666666666" in out
 
 
+def test_derived_transform_past_the_dense_block_limit(tmp_path, capsys):
+    # g over b at side 80 reads rows of b; a row is never refused as a 4-D block
+    body = INVERSE_IMPULSE.replace("name = f", "name = g\nbase = b") + "\n[schedule]\nsides = 80\n"
+    cfg = write_config(tmp_path, body)
+    assert main(["transform", "--config", cfg]) == 0
+    assert "transform" in capsys.readouterr().out
+
+
 def test_json_document_shape(tmp_path, capsys):
     cfg = write_config(tmp_path, ALTCOL_VERDICT)
     assert main(["verdict", "--config", cfg, "--format", "json"]) == 0
@@ -173,6 +181,21 @@ def test_derived_kernel_base_must_be_plain(tmp_path, capsys, name, base):
     assert main(["check", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "kernel.base" in err and "derived kernel" in err
+
+
+@pytest.mark.parametrize(
+    "cls", ["almost-regular", "almost-conservative", "strongly-regular", "strong-almost-to-almost"]
+)
+def test_window_suites_refuse_stage_sides_below_two(tmp_path, capsys, cls):
+    # the window-mean suites probe columns 0..2 at every stage
+    cfg = write_config(
+        tmp_path,
+        f"[kernel]\nname = cesaro\n\n[schedule]\nsides = 1 2 4\n\n[operation]\nop = check\nclass = {cls}\n",
+    )
+    assert main(["check", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage side 1 ")
+    assert "Traceback" not in err
 
 
 def test_dual_subcommand_single_condition(tmp_path, capsys):

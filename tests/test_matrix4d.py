@@ -307,6 +307,115 @@ def test_slab_built_blocks_match_whole_block_formulas(dims):
     assert _bits_equal(g_kernel(full, P1).block4(*dims), oracles.g_block(full, P1, *dims))
 
 
+def _plain_and_derived_kernels():
+    """(name, kernel, whole-block oracle of (K, L, I, J)) for every built-in kernel."""
+    rng = np.random.default_rng(31)
+    signed_zeros = -oracles.cesaro_block(9, 9, 9, 9)  # -0.0 off the triangle
+    full = rng.uniform(-1.0, 1.0, size=(10, 10, 10, 10))
+    a = corpus("checkerboard")
+    return [
+        ("b", b_kernel(P1), lambda *d: oracles.b_block(P1, *d)),
+        ("f", f_kernel(PC), lambda *d: oracles.f_block(PC, *d)),
+        ("cesaro", cesaro_kernel(), oracles.cesaro_block),
+        ("identity", identity_kernel(), oracles.identity_block),
+        ("zero", zero_kernel(), lambda K, L, I, J: np.zeros((K + 1, L + 1, I + 1, J + 1))),
+        (
+            "signed-zeros",
+            matrix_from_array(signed_zeros, triangular=True),
+            lambda *d: oracles.array_block(signed_zeros, *d),
+        ),
+        ("non-triangular", matrix_from_array(full), lambda *d: oracles.array_block(full, *d)),
+        ("d", d_kernel(a, PC), lambda *d: oracles.d_block(a, PC, *d)),
+        ("e", e_kernel(cesaro_kernel(), PC), lambda *d: oracles.e_block(cesaro_kernel(), PC, *d)),
+        ("g", g_kernel(f_kernel(PC), P1), lambda *d: oracles.g_block(f_kernel(PC), P1, *d)),
+        ("g-full", g_kernel(matrix_from_array(full), P1),
+         lambda *d: oracles.g_block(matrix_from_array(full), P1, *d)),
+    ]
+
+
+@pytest.mark.parametrize("dims", [(9, 9, 9, 9), (9, 7, 5, 8), (4, 9, 9, 2)])
+def test_kernel_slabs_match_whole_block_formulas(dims):
+    for name, A, block in _plain_and_derived_kernels():
+        want = block(*dims)
+        assert _bits_equal(A.block4(*dims), want), name
+        for start in (0, 3):
+            slabs = list(A.slabs(*dims, start=start))
+            assert len(slabs) == dims[0] + 1 - start, name
+            assert all(s.flags.c_contiguous for s in slabs), name
+            assert _bits_equal(np.stack(slabs), want[start:]), name
+
+
+def test_rows_match_block_rows():
+    # rows from a row rule or, without one, from a slab; d and e fold each row
+    # on its own, which rounds differently from their block formulas
+    for name, A, block in _plain_and_derived_kernels():
+        if name in ("d", "e"):
+            continue
+        want = block(9, 9, 9, 9)
+        for m, n, K, L in ((0, 0, 9, 9), (5, 3, 4, 9), (9, 9, 2, 6), (7, 0, 9, 0)):
+            assert _bits_equal(A.row_block(m, n, K, L), want[m, n, : K + 1, : L + 1]), name
+
+
+def test_g_row_rule_matches_its_block_rows():
+    rng = np.random.default_rng(13)
+    bases = (random_triangular(rng, 9), cesaro_kernel(),
+             matrix_from_array(rng.uniform(-1.0, 1.0, size=(10,) * 4), name="full"))
+    for A in bases:
+        for p in (P1, BParams(-1, 3, 2, -5)):
+            G = g_kernel(A, p)
+            blk = oracles.g_block(A, p, 9, 9, 9, 9)
+            for m in range(10):
+                for n in range(10):
+                    assert _bits_equal(G.row_block(m, n, 9, 9), blk[m, n])
+
+
+def test_rows_past_the_dense_block_limit_still_evaluate():
+    # a row is one side^2 array: the limit on (m+1)(n+1)(K+1)(L+1) refuses no row
+    S = 80
+    B = b_kernel(P1)
+    B_slabs_only = FourDimMatrix(entry=B.entry, triangular=True, slab_rule=B.slab_rule)
+
+    def b_row(m, n):
+        return np.array([[B(m, n, k, l) for l in range(S + 1)] for k in range(S + 1)])
+
+    assert _bits_equal(B_slabs_only.row_block(S, S, S, S), b_row(S, S))
+    assert _bits_equal(B.row_block(S, S, S, S), b_row(S, S))
+    su, st, ru, rt = P1.s * P1.u, P1.s * P1.t, P1.r * P1.u, P1.r * P1.t
+    want_g = su * b_row(S - 1, S - 1) + st * b_row(S - 1, S) + ru * b_row(S, S - 1) + rt * b_row(S, S)
+    for base in (B, B_slabs_only):
+        assert _bits_equal(g_kernel(base, P1).row_block(S, S, S, S), want_g)
+    k = np.arange(S + 1)[:, None]
+    l = np.arange(S + 1)[None, :]
+    want_e = np.zeros((S + 1, S + 1))
+    for i, j, val in ((S - 1, S - 1, su), (S - 1, S, st), (S, S - 1, ru), (S, S, rt)):
+        with np.errstate(divide="ignore"):
+            term = val * P1.sigma ** (i - k).astype(float) * P1.tau ** (j - l).astype(float) / rt
+        want_e += np.where((k <= i) & (l <= j), term, 0.0)
+    for base in (B, B_slabs_only):
+        np.testing.assert_allclose(e_kernel(base, P1).row_block(S, S, S, S), want_e, rtol=1e-12, atol=1e-15)
+
+
+def test_entry_only_rows_evaluate_one_row():
+    calls = []
+
+    def entry(m, n, k, l):
+        calls.append((m, n))
+        return float(m + 2 * n - k * l)
+
+    A = FourDimMatrix(entry=entry)
+    row = A.row_block(5, 3, 4, 6)
+    assert set(calls) == {(5, 3)} and len(calls) == 5 * 7
+    assert _bits_equal(row, next(A.slabs(5, 3, 4, 6, start=5))[3])
+
+
+def test_slabs_keep_the_dense_block_limit():
+    with pytest.raises(ValueError, match="exceeds the dense limit"):
+        cesaro_kernel().slabs(79, 79, 79, 79)
+    cesaro_kernel().slabs(78, 78, 78, 78)
+    with pytest.raises(ValueError, match="exceeds the dense limit"):
+        e_kernel(cesaro_kernel(), P1).block4(79, 79, 79, 79)
+
+
 def test_g_of_identity_is_band():
     G = g_kernel(identity_kernel(), P1)
     B = b_kernel(P1)
