@@ -1,0 +1,8 @@
+"""`python -m dsumm`: the dsumm command line, runnable from a checkout with src/ on the path."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -258,6 +258,7 @@ def _reduce_slabs(slabs, *reducers):
     for m, slab in enumerate(slabs):
         for reducer in reducers:
             reducer.add(m, slab)
+        del slab  # before the next slab is built
     return reducers
 
 
@@ -382,28 +383,23 @@ def check_cbp_regular(
     return _cbp_suite("cbp-regular", A, stages, tol, regular=True)
 
 
-def _shift_neg(arr: np.ndarray, axis: int) -> np.ndarray:
-    """arr advanced one step along axis, zero-filled at the far edge."""
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    src[axis] = slice(1, None)
-    dst[axis] = slice(None, -1)
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
-
 def _abs_delta(slab: np.ndarray, kind: str) -> np.ndarray:
     """|difference| of a row slab [n, k, l] in the column indices.
 
-    kind is "k", "l" or the mixed "kl"; zero fill past the block edge.
+    kind is "k", "l" or the mixed "kl"; zero fill past the block edge.  The
+    terms are subtracted and added in place, in the order
+    ((x[k, l] - x[k+1, l]) - x[k, l+1]) + x[k+1, l+1]; a term past the edge is
+    skipped rather than added as zero, which can only change the sign of a
+    zero, and the absolute value drops that.
     """
-    if kind == "k":
-        return np.abs(slab - _shift_neg(slab, 1))
-    if kind == "l":
-        return np.abs(slab - _shift_neg(slab, 2))
-    shifted_k = _shift_neg(slab, 1)
-    return np.abs(slab - shifted_k - _shift_neg(slab, 2) + _shift_neg(shifted_k, 2))
+    out = slab.copy()
+    if kind in ("k", "kl"):
+        out[:, :-1, :] -= slab[:, 1:, :]
+    if kind in ("l", "kl"):
+        out[:, :, :-1] -= slab[:, :, 1:]
+    if kind == "kl":
+        out[:, :-1, :-1] += slab[:, 1:, 1:]
+    return np.abs(out, out=out)
 
 
 class _SparseDeltas:
@@ -471,122 +467,137 @@ def check_strong_to_bp(
 # ---------------------------------------------------------------------------
 # window-mean suites
 
-class _RowPrefix:
-    """table[m+1, n+1, i, j] = sum of column (i, j) over rows (m', n') <= (m, n).
+def _window_means(far: np.ndarray, near: np.ndarray, q: int, qp: int) -> np.ndarray:
+    """means[n, i, j]: average of column (i, j) over rows [m, m+q] x [n, n+qp].
 
-    Row 0 and column 0 of the table are zero.  A running sum up to row m
-    reads no later row, so a stage's table is the corner
-    table[: side + 2, : side + 2, : side + 1, : side + 1] of the largest one.
-    The accumulator starts as a copy of row 0 (not zero plus row 0), so a
-    -0.0 entry keeps its sign, as in a cumsum over the whole block.
+    far and near are one stage's row-prefix rows m+q+1 and m (see
+    _WindowMeans); n runs over every base that fits.
+    """
+    means = far[qp + 1:] - near[qp + 1:]
+    means -= far[: -qp - 1]
+    means += near[: -qp - 1]
+    means /= float((q + 1) * (qp + 1))
+    return means
+
+
+class _ExtentStats:
+    """Per-base reductions of one (stage, extent) pair's window means.
+
+    Tables are indexed [m, n, ...]: total holds the sum of the means over
+    all columns, dk and dl the totals of |forward difference| (with_deltas),
+    and cols and rows the means in the strips through the probe columns,
+    cols[m, n, i, j0] and rows[m, n, i0, j], kept until the constants they
+    are compared with are known.
     """
 
-    def __init__(self, S: int):
-        self.table = np.empty((S + 2, S + 2, S + 1, S + 1))
-        self.table[0] = 0.0
-        self.table[:, 0] = 0.0
+    def __init__(self, side: int, q: int, qp: int, with_deltas: bool):
+        bm, bn = side + 1 - q, side + 1 - qp
+        probes = len(_PROBE_RANGE)
+        self.total = np.empty((bm, bn))
+        self.cols = np.empty((bm, bn, side + 1, probes))
+        self.rows = np.empty((bm, bn, probes, side + 1))
+        self.dk = np.empty((bm, bn)) if with_deltas else None
+        self.dl = np.empty((bm, bn)) if with_deltas else None
+
+    def add(self, m: int, means: np.ndarray):
+        self.total[m] = means.sum(axis=(1, 2))
+        self.cols[m] = means[:, :, : len(_PROBE_RANGE)]
+        self.rows[m] = means[:, : len(_PROBE_RANGE), :]
+        if self.dk is not None:
+            self.dk[m] = _abs_delta(means, "k").sum(axis=(1, 2))
+            self.dl[m] = _abs_delta(means, "l").sum(axis=(1, 2))
+
+
+class _WindowMeans:
+    """Window means of the rows of A for every (stage, extent) pair, in one pass.
+
+    The window sums come from the row-prefix table
+    P[m+1, n+1, i, j] = sum of column (i, j) over rows (m', n') <= (m, n),
+    whose row 0 and column 0 are zero; a stage reads its corner
+    [: side + 2, : side + 2, : side + 1, : side + 1], since a running sum up to
+    row m reads no later row.  Only the last q_hi(S) + 2 prefix rows are
+    kept, in a ring: when slab m brings prefix row m+1, each pair reduces the
+    base whose far row that is.  The running sum over m starts as a copy of
+    row 0 (not zero plus row 0), so a -0.0 entry keeps its sign, as in a
+    cumsum over the whole block.
+
+    With estimate, the means of the largest stage's widest square windows
+    are also summed, base by base in (m, n) order, into the column limits and
+    total of the conservative suite (see estimates).
+    """
+
+    def __init__(self, stages, with_deltas: bool, estimate: bool):
+        S = max(stages)
+        q_hi, _ = canonical_extents(S)
+        self.ring = np.empty((q_hi + 2, S + 2, S + 1, S + 1))
+        self.ring[0] = 0.0
+        self.ring[:, 0] = 0.0
+        self.pairs = {
+            (side, q, qp): _ExtentStats(side, q, qp, with_deltas)
+            for side in stages for q, qp in stage_extent_pairs(side)
+        }
+        self.widest = (S, q_hi, q_hi) if estimate else None
         self._acc = None
+        self._col_sums = None
 
     def add(self, m, slab):
         if self._acc is None:
             self._acc = slab.copy()
         else:
             self._acc += slab
-        np.cumsum(self._acc, axis=0, out=self.table[m + 1, 1:])
+        ring = self.ring
+        far = ring[(m + 1) % len(ring)]
+        np.cumsum(self._acc, axis=0, out=far[1:])
+        for (side, q, qp), stats in self.pairs.items():
+            base = m - q  # prefix row m+1 is the far row of base m-q
+            if base < 0 or m > side:
+                continue
+            corner = (slice(side + 2), slice(side + 1), slice(side + 1))
+            means = _window_means(far[corner], ring[base % len(ring)][corner], q, qp)
+            stats.add(base, means)
+            if (side, q, qp) == self.widest:
+                # bases are added one at a time in (m, n) order, as a mean over
+                # the whole table adds them; a per-m partial sum would round differently
+                self._col_sums = (means.sum(axis=0) if self._col_sums is None
+                                  else np.concatenate((self._col_sums[None], means)).sum(axis=0))
+
+    def estimates(self):
+        """Column limits and total estimated from the largest stage's widest square windows."""
+        total = self.pairs[self.widest].total
+        return self._col_sums / float(total.size), float(total.mean())
 
 
-def _window_means(P: np.ndarray, m: int, q: int, qp: int) -> np.ndarray:
-    """means[n, i, j]: average of column (i, j) over rows [m, m+q] x [n, n+qp].
-
-    P is one stage's row-prefix table; n runs over every base that fits.
-    """
-    sums = P[m + q + 1, qp + 1:] - P[m, qp + 1:] - P[m + q + 1, : -qp - 1] + P[m, : -qp - 1]
-    return sums / float((q + 1) * (qp + 1))
-
-
-def _window_limit_estimates(P: np.ndarray, side: int):
-    """Column limits and total estimated from the stage's widest square windows."""
-    q, _ = canonical_extents(side)
-    bases = side + 1 - q
-    totals = np.empty((bases, bases))
-    acc = None
-    for m in range(bases):
-        means = _window_means(P, m, q, q)
-        totals[m] = means.sum(axis=(1, 2))
-        # bases are added one at a time in (m, n) order, as a mean over the
-        # whole table adds them; a per-m partial sum would round differently
-        acc = means.sum(axis=0) if acc is None else np.concatenate((acc[None], means)).sum(axis=0)
-    return acc / float(bases * bases), float(totals.mean())
-
-
-def _window_row_stats(P: np.ndarray, q: int, qp: int, a_hat: np.ndarray, with_deltas: bool) -> dict:
-    """Per-base reductions of one stage's window means, one base row m at a time.
-
-    Tables are indexed [m, n, ...]: "entry" holds |mean - a_hat| at the probe
-    columns, "total" the sum over all columns, "col"/"row" the probe strip
-    sums, and "dk"/"dl" the totals of |forward difference| (with_deltas).
-    """
-    side = P.shape[2] - 1
-    bm, bn = side + 1 - q, side + 1 - qp
-    probes = len(_PROBE_RANGE)
-    stats = {
-        "entry": np.empty((bm, bn, probes, probes)),
-        "total": np.empty((bm, bn)),
-        "col": np.empty((bm, bn, probes)),
-        "row": np.empty((bm, bn, probes)),
-    }
-    if with_deltas:
-        stats["dk"] = np.empty((bm, bn))
-        stats["dl"] = np.empty((bm, bn))
-    for m in range(bm):
-        means = _window_means(P, m, q, qp)
-        for i in _PROBE_RANGE:
-            for j in _PROBE_RANGE:
-                stats["entry"][m, :, i, j] = np.abs(means[:, i, j] - a_hat[i, j])
-        stats["total"][m] = means.sum(axis=(1, 2))
-        for j0 in _PROBE_RANGE:
-            strip = np.abs(means[:, :, j0] - a_hat[None, : side + 1, j0])
-            stats["col"][m, :, j0] = strip.sum(axis=1)
-        for i0 in _PROBE_RANGE:
-            strip = np.abs(means[:, i0, :] - a_hat[None, i0, : side + 1])
-            stats["row"][m, :, i0] = strip.sum(axis=1)
-        if with_deltas:
-            stats["dk"][m] = _abs_delta(means, "k").sum(axis=(1, 2))
-            stats["dl"][m] = _abs_delta(means, "l").sum(axis=(1, 2))
-    return stats
-
-
-def _almost_conditions(rows_abs: _RowAbsSums, prefix: _RowPrefix, stages, tol,
+def _almost_conditions(rows_abs: _RowAbsSums, windows: _WindowMeans, stages, tol,
                        regular: bool, with_deltas: bool):
     S = max(stages)
-    P = prefix.table
     if regular:
         a_hat = np.zeros((S + 1, S + 1))
         u_hat = 1.0
     else:
-        a_hat, u_hat = _window_limit_estimates(P, S)
+        a_hat, u_hat = windows.estimates()
 
     sup_trend = rows_abs.sup_trend(stages)
     entry_trend, total_trend = [], []
     col_trend, row_trend = [], []
     dk_trend, dl_trend = [], []
     for side in stages:
-        P_side = P[: side + 2, : side + 2, : side + 1, : side + 1]
         entry_res = total_res = col_res = row_res = 0.0
         dk_res = dl_res = 0.0
         for q, qp in stage_extent_pairs(side):
-            stats = _window_row_stats(P_side, q, qp, a_hat, with_deltas)
+            stats = windows.pairs[side, q, qp]
             for i in _PROBE_RANGE:
                 for j in _PROBE_RANGE:
-                    entry_res = max(entry_res, float(np.max(stats["entry"][:, :, i, j])))
-            total_res = max(total_res, float(np.max(np.abs(stats["total"] - u_hat))))
+                    entry_res = max(entry_res, float(np.max(np.abs(stats.cols[:, :, i, j] - a_hat[i, j]))))
+            total_res = max(total_res, float(np.max(np.abs(stats.total - u_hat))))
             for j0 in _PROBE_RANGE:
-                col_res = max(col_res, float(stats["col"][:, :, j0].max()))
+                strip = np.abs(stats.cols[:, :, :, j0] - a_hat[None, None, : side + 1, j0])
+                col_res = max(col_res, float(strip.sum(axis=2).max()))
             for i0 in _PROBE_RANGE:
-                row_res = max(row_res, float(stats["row"][:, :, i0].max()))
+                strip = np.abs(stats.rows[:, :, i0, :] - a_hat[None, None, i0, : side + 1])
+                row_res = max(row_res, float(strip.sum(axis=2).max()))
             if with_deltas:
-                dk_res = max(dk_res, float(stats["dk"].max()))
-                dl_res = max(dl_res, float(stats["dl"].max()))
+                dk_res = max(dk_res, float(stats.dk.max()))
+                dl_res = max(dl_res, float(stats.dl.max()))
         entry_trend.append((side, entry_res))
         total_trend.append((side, total_res))
         col_trend.append((side, col_res))
@@ -613,18 +624,20 @@ def _almost_conditions(rows_abs: _RowAbsSums, prefix: _RowPrefix, stages, tol,
     return conds
 
 
-def _window_tables(A: FourDimMatrix, stages, *extra):
-    """Row |sums| and the row-prefix table of A (plus any extra reducers), in one pass."""
+def _window_tables(A: FourDimMatrix, stages, with_deltas, estimate, extra=()):
+    """Row |sums| and the window means of A (plus any extra reducers), in one pass."""
     for side in stages:
         _require_probe_columns(side)
     S = max(stages)
-    return _reduce_slabs(A.slabs(S, S, S, S), _RowAbsSums(S), _RowPrefix(S), *extra)
+    return _reduce_slabs(
+        A.slabs(S, S, S, S), _RowAbsSums(S), _WindowMeans(stages, with_deltas, estimate), *extra
+    )
 
 
 def _almost_suite(class_id, A, stages, tol, regular, with_deltas):
-    rows_abs, prefix = _window_tables(A, stages)
+    rows_abs, windows = _window_tables(A, stages, with_deltas, estimate=not regular)
     return ClassReport.from_conditions(
-        class_id, _almost_conditions(rows_abs, prefix, stages, tol, regular, with_deltas)
+        class_id, _almost_conditions(rows_abs, windows, stages, tol, regular, with_deltas)
     )
 
 
@@ -665,10 +678,11 @@ def check_strong_almost_to_almost(
     E_sets = tuple(E_sets) if E_sets is not None else (diagonal_set(),)
     _require_zero_density(E_sets, stages, tol)
     S = max(stages)
-    rows_abs, prefix, deltas = _window_tables(
-        A, stages, _SparseDeltas([E.mask(S, S) for E in E_sets], stages, ("kl",))
+    rows_abs, windows, deltas = _window_tables(
+        A, stages, with_deltas=False, estimate=False,
+        extra=(_SparseDeltas([E.mask(S, S) for E in E_sets], stages, ("kl",)),),
     )
-    conds = _almost_conditions(rows_abs, prefix, stages, tol, regular=True, with_deltas=False)
+    conds = _almost_conditions(rows_abs, windows, stages, tol, regular=True, with_deltas=False)
     conds.extend(_sparse_delta_conditions(deltas, E_sets, tol))
     return ClassReport.from_conditions("strong-almost-to-almost", conds)
 
@@ -796,7 +810,8 @@ class _DualScans:
     stage residuals are read off the same arrays so the two stay coherent.
     The scaled fold D(a) is read in one pass over its row slabs, which
     yields its row |sums| and the sparse delta sums over E of each kind in
-    delta_kinds.
+    delta_kinds.  The unscaled fold cubes of side 2S+1 are built one at a
+    time; only their per-stage maxima and constants are kept.
     """
 
     def __init__(self, a: DoubleSequence, p: BParams, stages, E: Optional[IndexSet] = None,
@@ -826,17 +841,53 @@ class _DualScans:
             self._memo["fold"] = _reduce_slabs(slabs, *reducers)
         return self._memo["fold"]
 
-    def cube_l(self, l0: int) -> np.ndarray:
-        key = ("cl", l0)
-        if key not in self._memo:
-            self._memo[key] = _fold_cube_fixed_l(self.ext_grid(), self.p.sigma, self.p.tau, l0)
-        return self._memo[key]
+    def _entry_deviations(self, cube: np.ndarray, l0: int, consts: dict, per_stage: dict):
+        """The tail means of the sheets k = k0 of cube_l(l0), and their worst deviations."""
+        for k0 in _PROBE_RANGE:
+            sheet = cube[:, :, k0]
+            beta = self._tail_mean(sheet)
+            consts[f"beta[{k0},{l0}]"] = beta
+            for s in self.stages:
+                t = _tail_lo(s)
+                dev = float(np.max(np.abs(sheet[t: s + 1, t: s + 1] - beta)))
+                per_stage[s] = max(per_stage[s], dev)
 
-    def cube_k(self, k0: int) -> np.ndarray:
-        key = ("ck", k0)
-        if key not in self._memo:
-            self._memo[key] = _fold_cube_fixed_k(self.ext_grid(), self.p.sigma, self.p.tau, k0)
-        return self._memo[key]
+    def _strip_deviations(self, cube: np.ndarray, per_stage: dict):
+        """The worst deviation of the tail strips of one fold cube from their mean."""
+        t_ext = _tail_lo(self.X)
+        beta_vec = cube[t_ext:, t_ext:, :].mean(axis=(0, 1))
+        for s in self.stages:
+            t = _tail_lo(s)
+            dev = np.abs(cube[t: s + 1, t: s + 1, : s + 1] - beta_vec[None, None, : s + 1])
+            per_stage[s] = max(per_stage[s], float(dev.sum(axis=2).max()))
+
+    def cube_l_scan(self):
+        """d2's constants and per-stage maxima, and d4's maxima, from cube_l(0..2).
+
+        Each cube is built once and dropped before the next is built.
+        """
+        if "cl" not in self._memo:
+            consts = {}
+            entry = {s: 0.0 for s in self.stages}
+            strips = {s: 0.0 for s in self.stages}
+            for l0 in _PROBE_RANGE:
+                cube = _fold_cube_fixed_l(self.ext_grid(), self.p.sigma, self.p.tau, l0)
+                self._entry_deviations(cube, l0, consts, entry)
+                self._strip_deviations(cube, strips)
+                del cube
+            self._memo["cl"] = (consts, entry, strips)
+        return self._memo["cl"]
+
+    def cube_k_scan(self):
+        """d5's per-stage maxima from cube_k(0..2), built and dropped one at a time."""
+        if "ck" not in self._memo:
+            strips = {s: 0.0 for s in self.stages}
+            for k0 in _PROBE_RANGE:
+                cube = _fold_cube_fixed_k(self.ext_grid(), self.p.sigma, self.p.tau, k0)
+                self._strip_deviations(cube, strips)
+                del cube
+            self._memo["ck"] = strips
+        return self._memo["ck"]
 
     def row_sum_grid(self) -> np.ndarray:
         # total of the scaled fold row: cumulative sums against geometric prefixes
@@ -864,20 +915,8 @@ def _dual_condition(scans: _DualScans, which: str, tol: ToleranceConfig) -> Cond
         return _sup_condition("transform-row-abs-sup", trend, tol, {"sup": trend[-1][1]})
 
     if which == "d2":
-        consts = {}
-        trend = []
-        per_stage = {s: 0.0 for s in stages}
-        for l0 in _PROBE_RANGE:
-            cube = scans.cube_l(l0)
-            for k0 in _PROBE_RANGE:
-                sheet = cube[:, :, k0]
-                beta = scans._tail_mean(sheet)
-                consts[f"beta[{k0},{l0}]"] = beta
-                for s in stages:
-                    t = _tail_lo(s)
-                    dev = float(np.max(np.abs(sheet[t: s + 1, t: s + 1] - beta)))
-                    per_stage[s] = max(per_stage[s], dev)
-        trend = [(s, per_stage[s]) for s in stages]
+        consts, entry, _ = scans.cube_l_scan()
+        trend = [(s, entry[s]) for s in stages]
         return _residual_condition("transform-entry-limits", trend, tol, consts)
 
     if which == "d3":
@@ -890,29 +929,13 @@ def _dual_condition(scans: _DualScans, which: str, tol: ToleranceConfig) -> Cond
         return _residual_condition("transform-total-limit", trend, tol, {"total": u_hat})
 
     if which == "d4":
-        per_stage = {s: 0.0 for s in stages}
-        for l0 in _PROBE_RANGE:
-            cube = scans.cube_l(l0)
-            t_ext = _tail_lo(scans.X)
-            beta_vec = cube[t_ext:, t_ext:, :].mean(axis=(0, 1))
-            for s in stages:
-                t = _tail_lo(s)
-                dev = np.abs(cube[t: s + 1, t: s + 1, : s + 1] - beta_vec[None, None, : s + 1])
-                per_stage[s] = max(per_stage[s], float(dev.sum(axis=2).max()))
-        trend = [(s, per_stage[s]) for s in stages]
+        strips = scans.cube_l_scan()[2]
+        trend = [(s, strips[s]) for s in stages]
         return _residual_condition("transform-column-strips", trend, tol)
 
     if which == "d5":
-        per_stage = {s: 0.0 for s in stages}
-        for k0 in _PROBE_RANGE:
-            cube = scans.cube_k(k0)
-            t_ext = _tail_lo(scans.X)
-            beta_vec = cube[t_ext:, t_ext:, :].mean(axis=(0, 1))
-            for s in stages:
-                t = _tail_lo(s)
-                dev = np.abs(cube[t: s + 1, t: s + 1, : s + 1] - beta_vec[None, None, : s + 1])
-                per_stage[s] = max(per_stage[s], float(dev.sum(axis=2).max()))
-        trend = [(s, per_stage[s]) for s in stages]
+        strips = scans.cube_k_scan()
+        trend = [(s, strips[s]) for s in stages]
         return _residual_condition("transform-row-strips", trend, tol)
 
     if which in _DUAL_DELTA_KINDS:

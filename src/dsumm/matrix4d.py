@@ -137,7 +137,8 @@ class FourDimMatrix:
         """
         _check_block_size(K, L, I, J)
         if self.slab_rule is not None:
-            return (np.ascontiguousarray(s, dtype=float) for s in self.slab_rule(start, K, L, I, J))
+            # map holds no slab between calls, so a slab lives only as long as its reader keeps it
+            return map(lambda s: np.ascontiguousarray(s, dtype=float), self.slab_rule(start, K, L, I, J))
         return (self._slab_from_entries(m, L, I, J) for m in range(start, K + 1))
 
     def _slab_from_entries(self, m: int, L: int, I: int, J: int) -> np.ndarray:
@@ -171,10 +172,22 @@ class FourDimMatrix:
 
 
 def matrix_from_array(values, triangular: bool = False, name: str = "array-kernel") -> FourDimMatrix:
-    """Wrap a dense 4-D array (indexed [m, n, k, l]) as a matrix."""
+    """Wrap a dense 4-D array (indexed [m, n, k, l]) as a matrix.
+
+    With triangular, nonzero entries past the triangle (k > m or l > n) read
+    as 0.0 on every path; a stored -0.0 there is kept.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 4:
         raise ValueError("matrix_from_array expects a 4-D array")
+    if triangular:
+        past = (
+            (np.arange(arr.shape[2])[None, None, :, None] > np.arange(arr.shape[0])[:, None, None, None])
+            | (np.arange(arr.shape[3])[None, None, None, :] > np.arange(arr.shape[1])[None, :, None, None])
+        )
+        past &= arr != 0.0
+        if past.any():
+            arr = np.where(past, 0.0, arr)
 
     def entry(m, n, k, l):
         if m >= arr.shape[0] or n >= arr.shape[1]:
@@ -454,20 +467,52 @@ def compose(A: FourDimMatrix, B: FourDimMatrix, tr: Truncation = Truncation(32, 
 # ---------------------------------------------------------------------------
 # folded kernels consumed by the dual and class checkers
 
-def _fold_row(R: np.ndarray, sigma: float, tau: float) -> np.ndarray:
-    """W[k, l] = sum over x in [k, K], y in [l, L] of sigma^(x-k) tau^(y-l) R[x, y].
+def _fold_rows(R: np.ndarray, n0: int, sigma: float, tau: float) -> np.ndarray:
+    """Fold the rows n = n0, n0+1, ... of one m through the inverse geometry.
 
-    Two geometric suffix recursions; direct summation, no closed forms.
+    R[i] holds row n = n0 + i, indexed [k, l]; its entries past column n are
+    never read.  Returns W with, for l <= n,
+    W[i, k, l] = sum over x in [k, K], y in [l, n] of sigma^(x-k) tau^(y-l) R[i, x, y].
+    Two geometric suffix recursions, direct summation, no closed forms; the
+    l-recursion of row n starts at column n by a copy.
     """
-    U = np.empty_like(R)
-    U[:, -1] = R[:, -1]
-    for l in range(R.shape[1] - 2, -1, -1):
-        U[:, l] = R[:, l] + tau * U[:, l + 1]
+    U = np.zeros(R.shape)
+    for l in range(R.shape[2] - 1, -1, -1):
+        i = l - n0
+        if i >= 0:
+            U[i, :, l] = R[i, :, l]
+        i = max(i + 1, 0)
+        if i < len(R):
+            U[i:, :, l] = R[i:, :, l] + tau * U[i:, :, l + 1]
     W = np.empty_like(U)
-    W[-1, :] = U[-1, :]
-    for k in range(R.shape[0] - 2, -1, -1):
-        W[k, :] = U[k, :] + sigma * W[k + 1, :]
+    W[:, -1, :] = U[:, -1, :]
+    for k in range(R.shape[1] - 2, -1, -1):
+        W[:, k, :] = U[:, k, :] + sigma * W[:, k + 1, :]
     return W
+
+
+def _folded_row(R: np.ndarray, m: int, n: int, K: int, L: int, sigma, tau, rt) -> np.ndarray:
+    """Row (m, n) of a fold, restricted to columns (k, l) <= (K, L), from its base row R."""
+    W = _fold_rows(R[None], n, sigma, tau)[0] / rt
+    out = np.zeros((K + 1, L + 1), dtype=float)
+    ck = min(K, m) + 1
+    cl = min(L, n) + 1
+    out[:ck, :cl] = W[:ck, :cl]
+    return out
+
+
+def _apply_folded_rows(base_rows, g: np.ndarray, sigma, tau, rt) -> np.ndarray:
+    """The transform of g by a fold, one m at a time.
+
+    base_rows(m) stacks the base rows (m, 0..N) for the fold, [n, k, l].
+    """
+    M, N = g.shape[0] - 1, g.shape[1] - 1
+    out = np.empty_like(g, dtype=float)
+    for m in range(M + 1):
+        W = _fold_rows(base_rows(m), 0, sigma, tau) / rt
+        for n in range(N + 1):
+            out[m, n] = float(np.sum(W[n, :, : n + 1] * g[: m + 1, : n + 1]))
+    return out
 
 
 def d_kernel(a: DoubleSequence, p: BParams) -> FourDimMatrix:
@@ -479,18 +524,20 @@ def d_kernel(a: DoubleSequence, p: BParams) -> FourDimMatrix:
     sigma, tau, rt = p.sigma, p.tau, p.rt
 
     def row_block_rule(m, n, K, L):
-        R = a.grid(m, n)
-        W = _fold_row(R, sigma, tau) / rt
-        out = np.zeros((K + 1, L + 1), dtype=float)
-        ck = min(K, m) + 1
-        cl = min(L, n) + 1
-        out[:ck, :cl] = W[:ck, :cl]
-        return out
+        return _folded_row(a.grid(m, n), m, n, K, L, sigma, tau, rt)
 
     def entry(m, n, k, l):
         if k > m or l > n:
             return 0.0
         return float(row_block_rule(m, n, m, n)[k, l])
+
+    def apply_rule(g):
+        # every row (m, n) folds the corner [0, m] x [0, n] of one grid
+        M, N = g.shape[0] - 1, g.shape[1] - 1
+        ag = a.grid(M, N)
+        return _apply_folded_rows(
+            lambda m: np.broadcast_to(ag[: m + 1], (N + 1, m + 1, N + 1)), g, sigma, tau, rt
+        )
 
     def slab_rule(m0, K, L, I, J):
         R = a.grid(K, L)
@@ -510,6 +557,7 @@ def d_kernel(a: DoubleSequence, p: BParams) -> FourDimMatrix:
         name=f"d[{a.name or 'a'}]",
         slab_rule=slab_rule,
         row_block_rule=row_block_rule,
+        apply_rule=apply_rule,
     )
 
 
@@ -530,27 +578,37 @@ def e_kernel(A: FourDimMatrix, p: BParams) -> FourDimMatrix:
     sigma, tau, rt = p.sigma, p.tau, p.rt
 
     def row_block_rule(m, n, K, L):
-        R = A.row_block(m, n, m, n)
-        W = _fold_row(R, sigma, tau) / rt
-        out = np.zeros((K + 1, L + 1), dtype=float)
-        ck = min(K, m) + 1
-        cl = min(L, n) + 1
-        out[:ck, :cl] = W[:ck, :cl]
-        return out
+        return _folded_row(A.row_block(m, n, m, n), m, n, K, L, sigma, tau, rt)
 
     def entry(m, n, k, l):
         if k > m or l > n:
             return 0.0
         return float(row_block_rule(m, n, m, n)[k, l])
 
+    def apply_rule(g):
+        N = g.shape[1] - 1
+
+        def base_rows(m):
+            R = np.zeros((N + 1, m + 1, N + 1))
+            for n in range(N + 1):
+                R[n, :, : n + 1] = A.row_block(m, n, m, n)
+            return R
+
+        return _apply_folded_rows(base_rows, g, sigma, tau, rt)
+
     def slab_rule(m0, K, L, I, J):
         P = _power_lower_triangle(sigma, K + 1, I + 1)
         Q = _power_lower_triangle(tau, L + 1, J + 1)
         # contract each base slab's column indices against the geometric triangles
+        # and drop each temporary as soon as it is read, so one slab's worth is held at a yield
         for slab in A.slabs(K, L, K, L, m0):
             T = np.tensordot(slab, Q, axes=([2], [0]))
+            del slab
             E3 = np.tensordot(T.transpose(0, 2, 1), P, axes=([2], [0]))
-            yield E3.transpose(0, 2, 1) / rt
+            del T
+            E3 /= rt
+            yield E3.transpose(0, 2, 1)
+            del E3
 
     return FourDimMatrix(
         entry=entry,
@@ -558,6 +616,7 @@ def e_kernel(A: FourDimMatrix, p: BParams) -> FourDimMatrix:
         name=f"e[{A.name or 'A'}]",
         slab_rule=slab_rule,
         row_block_rule=row_block_rule,
+        apply_rule=apply_rule,
     )
 
 

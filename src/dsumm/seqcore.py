@@ -208,7 +208,15 @@ def abs_window_mean(x: DoubleSequence, w: Window, L: float = 0.0) -> float:
 
 
 def _sup_over_windows(grid: np.ndarray) -> float:
-    """sup of |window mean| over every window inside the grid."""
+    """sup of |window mean| over every window inside the grid.
+
+    A non-finite cell is refused: every window holding it would have no
+    finite mean, and the sup over the rest would not be the norm.
+    """
+    bad = np.argwhere(~np.isfinite(grid))
+    if len(bad):
+        k, l = bad[0]
+        raise ValueError(f"the window norms need finite values; the grid has {grid[k, l]} at ({k}, {l})")
     P = padded_prefix(grid)
     R, C = grid.shape
     best = -1.0

@@ -140,6 +140,39 @@ def g_block(A, p, K, L, I, J):
 
 
 # ---------------------------------------------------------------------------
+# folded rows, one row at a time
+
+def fold_row(R, sigma, tau):
+    """W[k, l] = sum over x in [k, K], y in [l, L] of sigma^(x-k) tau^(y-l) R[x, y].
+
+    Two geometric suffix recursions over one row; direct summation.
+    """
+    U = np.empty_like(R)
+    U[:, -1] = R[:, -1]
+    for l in range(R.shape[1] - 2, -1, -1):
+        U[:, l] = R[:, l] + tau * U[:, l + 1]
+    W = np.empty_like(U)
+    W[-1, :] = U[-1, :]
+    for k in range(R.shape[0] - 2, -1, -1):
+        W[k, :] = U[k, :] + sigma * W[k + 1, :]
+    return W
+
+
+def fold_transform(base_row, g, p):
+    """The transform of the grid g by a fold, row by row.
+
+    base_row(m, n) is the row (indexed [k, l], k <= m, l <= n) that row
+    (m, n) of the fold folds: a's corner for d, A's row for e.
+    """
+    out = np.empty(g.shape)
+    for m in range(g.shape[0]):
+        for n in range(g.shape[1]):
+            W = fold_row(base_row(m, n), p.sigma, p.tau) / p.rt
+            out[m, n] = float(np.sum(W * g[: m + 1, : n + 1]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # whole-block condition reductions
 #
 # Each returns a list of (condition id, trend, constants) in report order.
@@ -235,11 +268,20 @@ def sparse_delta_conditions(B4, E_sets, stages, kinds, prefix="sparse-delta"):
     return out
 
 
+def row_prefix_table(B4):
+    """P[m+1, n+1, i, j]: sum of column (i, j) over rows (m', n') <= (m, n).
+
+    Row 0 and column 0 are zero.
+    """
+    K, L, I, J = B4.shape
+    P = np.zeros((K + 1, L + 1, I, J))
+    P[1:, 1:] = B4.cumsum(axis=0).cumsum(axis=1)
+    return P
+
+
 def window_mean_tables(B4, side):
     """Yield (q, qp, means) with means[m, n, i, j] the window mean of column (i, j)."""
-    sub = B4[: side + 1, : side + 1, : side + 1, : side + 1]
-    P = np.zeros((side + 2, side + 2, side + 1, side + 1))
-    P[1:, 1:] = sub.cumsum(axis=0).cumsum(axis=1)
+    P = row_prefix_table(B4[: side + 1, : side + 1, : side + 1, : side + 1])
     for q, qp in stage_extent_pairs(side):
         sums = (
             P[q + 1:, qp + 1:]

@@ -19,7 +19,7 @@ from dsumm.matrix4d import (
     matrix_from_array,
 )
 from dsumm.seqcore import Truncation
-from dsumm.convergence import ToleranceConfig, almost_limit
+from dsumm.convergence import ToleranceConfig, almost_limit, canonical_extents
 from dsumm.classcheck import (
     B_DOMAIN_CLASS_IDS,
     DUAL_CONDITION_IDS,
@@ -44,7 +44,8 @@ from dsumm.classcheck import (
     gamma_dual_report,
     zero_density_check,
 )
-from dsumm.classcheck import _RowPrefix, _reduce_slabs
+from dsumm import classcheck
+from dsumm.classcheck import _WindowMeans
 
 import oracles
 from oracles import count_in_rectangle, delta01, delta10, delta11, matrix_window_mean
@@ -467,13 +468,16 @@ def test_streamed_suites_match_whole_block_formulas(name):
 
 
 @pytest.mark.parametrize("name", ["signed-zeros", "non-triangular", "d[checkerboard]"])
-def test_row_prefix_table_matches_whole_block_cumsum(name):
+def test_prefix_ring_rows_match_whole_block_cumsum(name):
     A = _stream_kernels()[name]()
-    B4 = A.block4(S_MAX, S_MAX, S_MAX, S_MAX)
-    want = np.zeros((S_MAX + 2, S_MAX + 2, S_MAX + 1, S_MAX + 1))
-    want[1:, 1:] = B4.cumsum(axis=0).cumsum(axis=1)
-    prefix, = _reduce_slabs(A.slabs(S_MAX, S_MAX, S_MAX, S_MAX), _RowPrefix(S_MAX))
-    assert prefix.table.tobytes() == want.tobytes()
+    want = oracles.row_prefix_table(A.block4(S_MAX, S_MAX, S_MAX, S_MAX))
+    windows = _WindowMeans(STREAM_STAGES, with_deltas=False, estimate=False)
+    ring = windows.ring
+    assert len(ring) == canonical_extents(S_MAX)[0] + 2
+    assert ring[0].tobytes() == want[0].tobytes()
+    for m, slab in enumerate(A.slabs(S_MAX, S_MAX, S_MAX, S_MAX)):
+        windows.add(m, slab)
+        assert ring[(m + 1) % len(ring)].tobytes() == want[m + 1].tobytes()
 
 
 @pytest.mark.parametrize("name", ["checkerboard", "impulse", "boos", "alt-col"])
@@ -486,6 +490,18 @@ def test_streamed_duals_match_whole_block_formulas(name):
     want += oracles.sparse_delta_conditions(D4, (diagonal_set(),), st, ("l", "k"), "transform-sparse-delta")
     got = [dual_membership(a, which, P1, st) for which in ("d1", "d6", "d7")]
     assert _exact([(c.condition_id, c.trend, c.constants) for c in got]) == _exact(want)
+
+
+def test_beta_report_builds_each_fold_cube_once(monkeypatch):
+    built = []
+    for name in ("_fold_cube_fixed_l", "_fold_cube_fixed_k"):
+        def counting(ag, sigma, tau, j, real=getattr(classcheck, name), name=name):
+            built.append((name, j))
+            return real(ag, sigma, tau, j)
+
+        monkeypatch.setattr(classcheck, name, counting)
+    beta_dual_report(corpus("checkerboard"), P1, SMALL)
+    assert sorted(built) == [(name, j) for name in ("_fold_cube_fixed_k", "_fold_cube_fixed_l") for j in range(3)]
 
 
 def test_suites_and_duals_never_build_a_block(monkeypatch):
@@ -530,29 +546,30 @@ def _traced_peak_blocks(run):
 
 
 # Ceilings, from the traced peaks with a little room: no suite holds a block.
-# The window-mean suites hold one row-prefix table (35^2 33^2 / 33^4 =
-# 1.125); the bp suites hold side^3 probe strips (6/33); the B-domain
-# suites add the base kernel's slab and the fold's temporaries; the beta
-# duals hold the six fold cubes of side 2 S_MAX + 1 (6 65^3 / 33^4 = 1.39).
+# The window-mean suites hold a ring of q_hi + 2 = 17 row-prefix rows
+# (17 34 33^2 / 33^4 = 0.53) and the means' probe strips (side^3, 0.14);
+# the bp suites hold side^3 probe strips (6/33); the B-domain suites add the
+# base kernel's slab and the fold's temporaries; the beta duals hold one fold
+# cube of side 2 S_MAX + 1 at a time (65^3 / 33^4 = 0.23).
 MEMORY_CEILINGS = [
     ("cbp-regular", lambda: check_cbp_regular(cesaro_kernel(), STREAM_STAGES), 0.3),
     ("cbp-conservative", lambda: check_cbp_conservative(cesaro_kernel(), STREAM_STAGES), 0.3),
     ("strong-to-bp", lambda: check_strong_to_bp(cesaro_kernel(), stages=STREAM_STAGES), 0.35),
     ("Cf-to-Mu", lambda: check_Cf_to_Mu(cesaro_kernel(), STREAM_STAGES), 0.1),
-    ("almost-conservative", lambda: check_almost_conservative(cesaro_kernel(), STREAM_STAGES), 1.2),
-    ("almost-regular", lambda: check_almost_regular(cesaro_kernel(), STREAM_STAGES), 1.2),
-    ("strongly-regular", lambda: check_strongly_regular(cesaro_kernel(), STREAM_STAGES), 1.2),
+    ("almost-conservative", lambda: check_almost_conservative(cesaro_kernel(), STREAM_STAGES), 0.82),
+    ("almost-regular", lambda: check_almost_regular(cesaro_kernel(), STREAM_STAGES), 0.82),
+    ("strongly-regular", lambda: check_strongly_regular(cesaro_kernel(), STREAM_STAGES), 0.82),
     (
         "strong-almost-to-almost",
         lambda: check_strong_almost_to_almost(cesaro_kernel(), stages=STREAM_STAGES),
-        1.3,
+        0.82,
     ),
-    ("BSCf_to_Cf", lambda: check_B_domain_class(cesaro_kernel(), "BSCf_to_Cf", P1, STREAM_STAGES), 1.4),
-    ("BSCf_to_Mu", lambda: check_B_domain_class(cesaro_kernel(), "BSCf_to_Mu", P1, STREAM_STAGES), 0.25),
-    ("BSCf_to_Cbp", lambda: check_B_domain_class(cesaro_kernel(), "BSCf_to_Cbp", P1, STREAM_STAGES), 0.45),
+    ("BSCf_to_Cf", lambda: check_B_domain_class(cesaro_kernel(), "BSCf_to_Cf", P1, STREAM_STAGES), 0.87),
+    ("BSCf_to_Mu", lambda: check_B_domain_class(cesaro_kernel(), "BSCf_to_Mu", P1, STREAM_STAGES), 0.15),
+    ("BSCf_to_Cbp", lambda: check_B_domain_class(cesaro_kernel(), "BSCf_to_Cbp", P1, STREAM_STAGES), 0.36),
     ("SCf_to_BMu", lambda: check_B_domain_class(cesaro_kernel(), "SCf_to_BMu", P1, STREAM_STAGES), 0.25),
     ("SCf_to_BCbp", lambda: check_B_domain_class(cesaro_kernel(), "SCf_to_BCbp", P1, STREAM_STAGES), 0.45),
-    ("beta", lambda: beta_dual_report(corpus("checkerboard"), P1, STREAM_STAGES), 1.45),
+    ("beta", lambda: beta_dual_report(corpus("checkerboard"), P1, STREAM_STAGES), 0.3),
     ("gamma", lambda: gamma_dual_report(corpus("checkerboard"), P1, STREAM_STAGES), 0.15),
 ]
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -198,6 +201,20 @@ def test_window_suites_refuse_stage_sides_below_two(tmp_path, capsys, cls):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("norm", ["window", "strong", "banded-strong"])
+def test_window_norms_refuse_non_finite_values(tmp_path, capsys, norm):
+    # 0/0 makes every cell nan; a sup over the finite windows alone printed -1
+    cfg = write_config(
+        tmp_path,
+        "[sequence]\nexpr = 0*k/(k-k)\n\n[params]\nr = 2\ns = 1\nt = 3\nu = 1\n\n"
+        f"[operation]\nop = norm\nnorm = {norm}\n",
+    )
+    assert main(["norm", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "nan at (0, 0)" in captured.err
+
+
 def test_dual_subcommand_single_condition(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -230,3 +247,13 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(dsumm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "dsumm", "--version"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"dsumm {dsumm.__version__}"

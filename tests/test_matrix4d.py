@@ -267,6 +267,28 @@ def test_g_kernel_matches_shifted_rows():
                     assert G(m, n, k, l) == pytest.approx(brute, abs=1e-13)
 
 
+def test_fold_transforms_match_the_row_loop():
+    # d and e fold all rows of one m together; each row must round as when folded alone
+    negative = from_array(np.random.default_rng(2).uniform(-1.0, -0.5, size=(10, 10)))
+    x = from_array(np.random.default_rng(3).uniform(-1.0, 1.0, size=(10, 10)))
+    # a row of -0.0 starts its recursion by a copy: -0.0 + tau * 0.0 is +0.0 for tau > 0
+    signed_zeros = from_array(np.full((10, 10), -0.0))
+    cases = [(d_kernel(a, p), a.grid, p)
+             for a in (corpus("checkerboard"), corpus("boos"), negative, signed_zeros)
+             for p in (PC, P0, BParams(-1, 3, 2, -5))]
+    for A in _derived_bases():
+        cases.append((e_kernel(A, PC), lambda m, n, A=A: A.row_block(m, n, m, n), PC))
+    for fold, base_row, p in cases:
+        for M, N in ((9, 6), (3, 9), (1, 1)):
+            want = oracles.fold_transform(base_row, x.grid(M, N), p)
+            assert _bits_equal(apply(fold, x, "bp", Truncation(M, N)).grid, want)
+        for m, n in ((7, 3), (2, 9), (0, 0)):
+            W = oracles.fold_row(base_row(m, n), p.sigma, p.tau) / p.rt
+            row = fold.row_block(m, n, 10, 10)
+            assert _bits_equal(row[: m + 1, : n + 1], W)
+            assert not row[m + 1:].any() and not row[:, n + 1:].any()
+
+
 def test_e_kernel_refuses_non_triangular_kernels():
     full = matrix_from_array(np.ones((4, 4, 4, 4)), triangular=False, name="full")
     with pytest.raises(ValueError, match="triangular"):
@@ -478,6 +500,22 @@ def test_matrix_from_array_triangle_enforcement():
         A(-1, 0, 0, 0)
     with pytest.raises(ValueError):
         matrix_from_array(np.ones((2, 2)), triangular=True)
+
+
+def test_triangular_array_kernels_agree_on_every_path():
+    arr = np.ones((3, 3, 3, 3))
+    arr[2, 1, 2, 2] = -0.0  # a stored signed zero past the triangle is kept
+    A = matrix_from_array(arr, triangular=True)
+    block = A.block4(2, 2, 2, 2)
+    slabs = np.stack(list(A.slabs(2, 2, 2, 2)))
+    for m, n, k, l in np.ndindex(arr.shape):
+        tri = k <= m and l <= n
+        assert A(m, n, k, l) == (1.0 if tri else 0.0)
+        assert block[m, n, k, l] == A(m, n, k, l)
+        assert slabs[m, n, k, l] == A(m, n, k, l)
+        assert A.row_block(m, n, 2, 2)[k, l] == A(m, n, k, l)
+    assert np.signbit(block[2, 1, 2, 2]) and np.signbit(A.row_block(2, 1, 2, 2)[2, 2])
+    assert arr[1, 1, 2, 0] == 1.0  # the caller's array is not changed
 
 
 # ---------------------------------------------------------------------------

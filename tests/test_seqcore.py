@@ -234,6 +234,15 @@ def test_norm_values_pinned():
     assert sup_abs(corpus("boos"), Truncation(10, 10)) == 10.0
 
 
+def test_window_norms_name_the_first_non_finite_cell():
+    g = np.zeros((4, 5))
+    g[2, 3] = np.inf
+    g[3, 0] = np.nan
+    for norm in (norm_Cf, norm_strong):
+        with pytest.raises(ValueError, match=r"inf at \(2, 3\)"):
+            norm(from_array(g), Truncation(3, 4))
+
+
 def test_norm_chain_on_corpus():
     tr = Truncation(12, 12)
     for name in corpus_names():
