@@ -179,9 +179,28 @@ def window_sum_table(P: np.ndarray, q: int, qp: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # point statistics and norms
 
+def _first_non_finite(a: np.ndarray) -> Optional[tuple]:
+    """Index of the first non-finite cell of a in row-major order, or None."""
+    if np.isfinite(a).all():
+        return None
+    k, l = np.argwhere(~np.isfinite(a))[0]
+    return int(k), int(l)
+
+
+def _finite_grid(x: DoubleSequence, tr: Truncation) -> np.ndarray:
+    """x's grid on tr.  A non-finite cell is refused, naming the first one:
+    no norm of such a grid is a number, and a sup or sum over the rest is not
+    the norm."""
+    g = x.grid(tr.M, tr.N)
+    bad = _first_non_finite(g)
+    if bad is not None:
+        raise ValueError(f"the norms need finite values; the grid has {g[bad]} at {bad}")
+    return g
+
+
 def sup_abs(x: DoubleSequence, tr: Truncation) -> float:
     """max |x| over the truncated grid."""
-    return float(np.max(np.abs(x.grid(tr.M, tr.N))))
+    return float(np.max(np.abs(_finite_grid(x, tr))))
 
 
 def _window_values(x: DoubleSequence, w: Window) -> list:
@@ -207,41 +226,86 @@ def abs_window_mean(x: DoubleSequence, w: Window, L: float = 0.0) -> float:
     return total / w.cardinality
 
 
+@np.errstate(over="ignore")  # overflow is refused below, with its place
 def _sup_over_windows(grid: np.ndarray) -> float:
-    """sup of |window mean| over every window inside the grid.
+    """sup of |window mean| over every window inside a finite grid.
 
-    A non-finite cell is refused: every window holding it would have no
-    finite mean, and the sup over the rest would not be the norm.
+    Each window sum is ((A - B) - C) + D with A = P[m+h, n+w], B = P[m, n+w],
+    C = P[m+h, n], D = P[m, n] of the prefix table P, as in window_sum_table,
+    so the result is the same bits as one table per extent.  For each width
+    w, a chunk of heights h is summed at once through strided views of
+    P[:, w:] and P[:, :C+1-w], copied and padded below row R with copies of
+    row R.  A padded window at base m is the window of height R - m there,
+    divided by a larger area, so it never exceeds the sup; and rounded
+    division is monotone, so max |S| / (h w) is the largest rounded mean.
+
+    The padding argument needs finite sums: a prefix table or a window sum
+    that overflows is refused, naming the first place.
     """
-    bad = np.argwhere(~np.isfinite(grid))
-    if len(bad):
-        k, l = bad[0]
-        raise ValueError(f"the window norms need finite values; the grid has {grid[k, l]} at ({k}, {l})")
     P = padded_prefix(grid)
+    bad = _first_non_finite(P)
+    if bad is not None:
+        k, l = bad
+        raise ValueError(
+            f"the window norms need finite prefix sums; the sum over "
+            f"[0, {k - 1}] x [0, {l - 1}] is {P[bad]}"
+        )
     R, C = grid.shape
-    best = -1.0
-    for q in range(R):
-        for qp in range(C):
-            means = np.abs(window_sum_table(P, q, qp)) / ((q + 1) * (qp + 1))
-            best = max(best, float(means.max()))
+    cells = 2 * (R + 1) * (C + 1)  # the chunk buffer holds two grids
+    # a chunk has k <= M and k M N <= cells, so k <= k_max[N] and it reads
+    # no row past R + k_max[N] - 1
+    k_max = [0] + [math.isqrt(cells // N) for N in range(1, C + 1)]
+    work = max((R + k_max[N]) * N for N in range(1, C + 1))
+    hi_cells, lo_cells, S_cells = np.empty(work), np.empty(work), np.empty(cells)
+    # per row extent h = 1..R, the largest and the least window sum at width w
+    top, bottom = np.empty(R), np.empty(R)
+    areas = np.arange(1.0, R + 1)
+    best = 0.0  # +0.0, so a grid of zeros of either sign gives +0.0
+    for w in range(1, C + 1):
+        N = C + 1 - w
+        rows = R + k_max[N]
+        hi = hi_cells[: rows * N].reshape(rows, N)
+        lo = lo_cells[: rows * N].reshape(rows, N)
+        hi[: R + 1] = P[:, w:]
+        hi[R + 1 :] = P[R, w:]
+        lo[: R + 1] = P[:, :N]
+        lo[R + 1 :] = P[R, :N]
+        s = hi.strides[0]
+        h = 1
+        while h <= R:
+            M = R + 1 - h
+            k = min(M, cells // (M * N))
+            # S[j, m, n] is the window sum of extent (h + j, w) at base (m, n)
+            S = np.ndarray((k, M, N), float, S_cells)
+            np.subtract(np.ndarray((k, M, N), float, hi_cells, h * s, (s, s, 8)), hi[:M], out=S)
+            np.subtract(S, np.ndarray((k, M, N), float, lo_cells, h * s, (s, s, 8)), out=S)
+            np.add(S, lo[:M], out=S)
+            S.max(axis=(1, 2), out=top[h - 1 : h - 1 + k])
+            S.min(axis=(1, 2), out=bottom[h - 1 : h - 1 + k])
+            h += k
+        np.maximum(top, np.negative(bottom, out=bottom), out=top)
+        top /= areas * w
+        best = max(best, float(top.max()))
+    if not math.isfinite(best):
+        raise ValueError("the window norms need finite window sums; a window sum overflows")
     return best
 
 
 def norm_Cf(x: DoubleSequence, tr: Truncation) -> float:
     """sup over all windows inside tr of |window mean of x|."""
-    return _sup_over_windows(x.grid(tr.M, tr.N))
+    return _sup_over_windows(_finite_grid(x, tr))
 
 
 def norm_strong(x: DoubleSequence, tr: Truncation) -> float:
     """sup over all windows inside tr of the window mean of |x|."""
-    return _sup_over_windows(np.abs(x.grid(tr.M, tr.N)))
+    return _sup_over_windows(np.abs(_finite_grid(x, tr)))
 
 
 def lq_norm(x: DoubleSequence, tr: Truncation, q: float) -> float:
     """(sum over the grid of |x|^q)^(1/q); requires q >= 1."""
     if q < 1:
         raise ValueError(f"lq_norm requires q >= 1, got {q}")
-    g = np.abs(x.grid(tr.M, tr.N))
+    g = np.abs(_finite_grid(x, tr))
     if q == 1:
         return float(g.sum())
     return float((g ** q).sum() ** (1.0 / q))

@@ -1,10 +1,12 @@
 """Reference formulas the tests compare the library against.
 
 Scalar oracles evaluate one entry difference, window mean or index-set count
-straight from the definitions.  Whole-block oracles are the dense-array
-expressions the kernels, class suites and derived-kernel builders used
-before they streamed one row slab at a time: they make side^4 temporaries,
-and the streamed code must reproduce their results bit for bit.
+straight from the definitions.  `sup_over_windows` is the window-norm sweep
+as one window-sum table per extent; the chunked sweep must reproduce it bit
+for bit.  Whole-block oracles are the dense-array expressions the kernels,
+class suites and derived-kernel builders used before they streamed one row
+slab at a time: they make side^4 temporaries, and the streamed code must
+reproduce their results bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from dsumm.convergence import canonical_extents, stage_extent_pairs
 from dsumm.matrix4d import _power_lower_triangle
+from dsumm.seqcore import padded_prefix, window_sum_table
 
 PROBES = range(3)
 
@@ -58,6 +61,18 @@ def count_in_rectangle(E, m, n, p, q):
             if E.contains(j, k):
                 total += 1
     return total
+
+
+def sup_over_windows(grid):
+    """sup of |window mean| over every window inside the grid, one extent at a time."""
+    P = padded_prefix(grid)
+    R, C = grid.shape
+    best = -1.0
+    for q in range(R):
+        for qp in range(C):
+            means = np.abs(window_sum_table(P, q, qp)) / ((q + 1) * (qp + 1))
+            best = max(best, float(means.max()))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -215,6 +216,31 @@ def test_window_norms_refuse_non_finite_values(tmp_path, capsys, norm):
     assert captured.err.startswith("error: ") and "nan at (0, 0)" in captured.err
 
 
+@pytest.mark.parametrize(
+    "norm,expr,cell",
+    [("sup", "0*k/(k-k)", "nan"), ("lq", "0*k/(k-k)", "nan"), ("sup", "1/(k-l)", "inf")],
+)
+def test_sup_and_lq_norms_refuse_non_finite_values(tmp_path, capsys, norm, expr, cell):
+    # both printed NaN or Infinity with exit 0
+    cfg = write_config(tmp_path, f"[sequence]\nexpr = {expr}\n\n[operation]\nop = norm\nnorm = {norm}\n")
+    assert main(["norm", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the norms need finite values; the grid has {cell} at (0, 0)\n"
+
+
+@pytest.mark.parametrize("norm", ["window", "strong"])
+def test_window_norms_refuse_overflowed_prefix_sums(tmp_path, capsys, norm):
+    # every cell is 1e306, and the norm is 1e306; the overflowed prefix table printed Infinity
+    cfg = write_config(tmp_path, f"[sequence]\nexpr = 10^306\n\n[operation]\nop = norm\nnorm = {norm}\n")
+    assert main(["norm", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the window norms need finite prefix sums; the sum over [0, 1] x [0, 89] is inf\n"
+    )
+
+
 def test_dual_subcommand_single_condition(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -247,6 +273,15 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_pyproject_names_the_package_and_its_version():
+    # a regex, not tomllib: Python 3.10 has no tomllib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        project = fh.read().split("[project]", 1)[1].split("\n[", 1)[0]
+    fields = dict(re.findall(r'^(name|version) = "([^"]*)"$', project, re.M))
+    assert fields == {"name": "dsumm", "version": dsumm.__version__}
 
 
 def test_module_entry_point_runs_the_cli():

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dsumm.seqcore import (
     DoubleSequence,
@@ -17,6 +19,7 @@ from dsumm.seqcore import (
     lq_norm,
     norm_Cf,
     norm_strong,
+    _sup_over_windows,
     padded_prefix,
     partial_sums,
     sup_abs,
@@ -24,6 +27,7 @@ from dsumm.seqcore import (
     window_sum_table,
 )
 from dsumm.matrix4d import BParams
+from oracles import sup_over_windows
 
 P0 = BParams(1, -1, 1, -1)
 P1 = BParams(2, 1, 3, 1)
@@ -243,6 +247,33 @@ def test_window_norms_name_the_first_non_finite_cell():
             norm(from_array(g), Truncation(3, 4))
 
 
+def test_every_norm_names_the_first_non_finite_cell():
+    g = np.zeros((4, 5))
+    g[2, 3] = -np.inf
+    g[3, 0] = np.nan
+    x, tr = from_array(g), Truncation(3, 4)
+    for norm in (sup_abs, lambda x, tr: lq_norm(x, tr, 1.0), lambda x, tr: lq_norm(x, tr, 2.0)):
+        with pytest.raises(ValueError, match=r"the norms need finite values; the grid has -inf at \(2, 3\)"):
+            norm(x, tr)
+
+
+def test_window_norms_refuse_overflowed_prefix_sums():
+    # every cell is finite, but P[1, 2] = 2e308 is not: the sup would read inf
+    x = from_array(np.full((3, 3), 1e308))
+    for norm in (norm_Cf, norm_strong):
+        with pytest.raises(ValueError, match=r"prefix sums; the sum over \[0, 0\] x \[0, 1\] is inf"):
+            norm(x, Truncation(2, 2))
+    assert sup_abs(x, Truncation(2, 2)) == 1e308
+
+
+def test_window_norm_refuses_an_overflowed_window_sum():
+    # the column prefix sums -1.5e308, 0, 1.5e308 are finite, but rows 1..2
+    # of column 0 sum to 3e308
+    x = from_array(np.array([[-1.5e308, 0.0], [1.5e308, 0.0], [1.5e308, 0.0]]))
+    with pytest.raises(ValueError, match="a window sum overflows"):
+        norm_Cf(x, Truncation(2, 1))
+
+
 def test_norm_chain_on_corpus():
     tr = Truncation(12, 12)
     for name in corpus_names():
@@ -294,6 +325,68 @@ def test_lq_norm_q2_matches_direct_sum():
     assert lq_norm(x, Truncation(6, 6), 2.0) == pytest.approx(
         float((g ** 2).sum()) ** 0.5, rel=1e-14
     )
+
+
+# ---------------------------------------------------------------------------
+# the chunked window sweep against one window-sum table per extent
+
+def _sweep_grids():
+    rng = np.random.default_rng(29)
+    for name in corpus_names():
+        g = entry(name).grid(40, 40)
+        yield name, g
+        yield f"|{name}|", np.abs(g)
+    for i in range(24):
+        shape = tuple(int(v) for v in rng.integers(1, 70, size=2))
+        scale = 10.0 ** int(rng.integers(-8, 9))
+        yield f"normal-{i}", scale * rng.standard_normal(shape)
+    for i in range(6):
+        shape = tuple(int(v) for v in rng.integers(1, 40, size=2))
+        yield f"integer-{i}", rng.integers(-5, 6, size=shape).astype(float)
+    # prefix-sum rounding lifts some wide means of a constant grid past its
+    # value, so these sups come from windows of area > 1
+    for c in (0.1, 1 / 3, 0.7, 1.1):
+        for shape in ((9, 7), (23, 31), (1, 40), (40, 1)):
+            yield f"constant-{c:.3g}{shape}", np.full(shape, c)
+    for shape in ((1, 1), (1, 57), (57, 1), (9, 7)):
+        yield f"zeros{shape}", np.zeros(shape)
+        yield f"negative-zeros{shape}", np.full(shape, -0.0)
+        signed = np.full(shape, -0.0)
+        signed.flat[::2] = 0.0
+        yield f"signed-zeros{shape}", signed
+    yield "row", rng.uniform(-1, 1, size=(1, 129))
+    yield "column", rng.uniform(-1, 1, size=(129, 1))
+
+
+@pytest.mark.parametrize("grid", [pytest.param(g, id=label) for label, g in _sweep_grids()])
+def test_window_sweep_matches_the_oracle_bit_for_bit(grid):
+    assert _sup_over_windows(grid).hex() == sup_over_windows(grid).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False)))
+def test_window_sweep_matches_the_oracle_on_any_grid(grid):
+    assert _sup_over_windows(grid).hex() == sup_over_windows(grid).hex()
+
+
+# Ceiling from the traced peak at side 128 (6.3 grids), with a little room:
+# P, two padded work arrays of at most 1.1 grids each, the chunk buffer of
+# two grids, and numpy's ufunc buffers of 8192 floats.  The per-extent
+# oracle peaks at 4.4 grids.
+SWEEP_GRIDS_CEILING = 6.8
+
+
+def test_window_sweep_memory_ceiling():
+    grid = corpus("boos").grid(128, 128)
+    R, C = grid.shape
+    tracemalloc.start()
+    try:
+        _sup_over_windows(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / ((R + 1) * (C + 1) * 8) <= SWEEP_GRIDS_CEILING
 
 
 # ---------------------------------------------------------------------------
